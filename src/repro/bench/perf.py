@@ -383,7 +383,6 @@ def run_scale(
         "meta": run_meta(node_counts, smoke=smoke),
         "smoke": smoke,
         "fanin": PARADE_HIER.barrier_fanin,
-        "lock_shard": PARADE_HIER.lock_shard,
         "nodes": node_counts,
         "workloads": {k: v["note"] for k, v in bk.items()},
         "points": points,

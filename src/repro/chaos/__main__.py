@@ -80,9 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--accel", action="store_true",
-        help="run with the protocol accelerator on (batched notices, "
-        "lock-grant piggybacking, adaptive migration + update push, "
-        "fetch read-ahead) — fault-free baseline and chaos runs alike, "
+        help="run with the protocol accelerator on (lock-grant "
+        "piggybacking, adaptive migration + update push) — fault-free "
+        "baseline and chaos runs alike, "
         "so recovery must stay bit-identical with every optimisation "
         "message kind in flight",
     )
@@ -98,10 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--hier", action="store_true",
-        help="run with hierarchical synchronization on (tree barrier + "
-        "sharded lock managers) — recovery must stay bit-identical with "
-        "relayed aggregate and forwarded lock frames in flight; composes "
-        "with --accel",
+        help="run with hierarchical synchronization on (tree barrier) — "
+        "recovery must stay bit-identical with relayed aggregate frames "
+        "in flight; composes with --accel",
     )
     return parser
 

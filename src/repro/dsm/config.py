@@ -34,75 +34,36 @@ class DsmConfig:
     #: (:meth:`DsmNode.try_fast_access`).  Off = always take the slow
     #: path; the equivalence test pins both to identical traces.
     fast_path: bool = True
-    #: coalesce diff runs separated by gaps of at most this many unchanged
-    #: bytes into one run (saves per-run headers at the cost of resending
-    #: the gap bytes).  0 = exact diffs.  Non-zero is safe only for pages
-    #: with a single writer per interval: the gap bytes overwrite the
-    #: home copy, clobbering concurrent writers of those bytes — homes
-    #: enforce this and raise :class:`~repro.dsm.node.DiffGapClobber` on
-    #: a cross-writer overlap.
-    diff_gap: int = 0
     #: attach the happens-before sanitizer (:mod:`repro.sanitizer`) to the
     #: run: vector-clock data-race detection over every DSM access plus
     #: live protocol-invariant checks.  Diagnostic tool — adds host-side
     #: cost, never changes virtual time.
     sanitize: bool = False
-    #: protocol accelerator — write-notice/diff batching: at a release
-    #: (barrier flush or lock release) all diffs destined to the same home
-    #: are coalesced into one ``("dsm", "dbat")`` frame per peer with a
-    #: single ack, instead of one ``diff``/``diffR`` round-trip per page.
-    #: Saves per-message CPU overhead and frame headers; per-page
-    #: ``diffs_sent``/``diff_bytes`` accounting is unchanged so runs stay
-    #: comparable (``notices_batched`` counts the coalesced records).
-    batch_notices: bool = False
-    #: per-diff byte ceiling for batching: only diffs at or below this
-    #: size join the per-home batch frame.  Large diffs keep their own
-    #: frame so the home can overlap applying one diff with receiving the
-    #: next (coalescing them would serialise the whole frame's transfer
-    #: before any apply, lengthening the flush critical path for the
-    #: ~40 B of header it saves).
-    batch_max_bytes: int = 512
     #: protocol accelerator — lock-grant diff piggybacking: a releaser
-    #: attaches its small diffs to the release message; the manager stores
-    #: them alongside the :class:`~repro.dsm.writenotice.NoticeLog` and,
-    #: at grant time, ships the complete per-page diff chains for pages
-    #: the acquirer wrote under this lock before (last-acquirer history).
-    #: The acquirer patches its READ_ONLY copy in place instead of
+    #: attaches its small diffs (at most
+    #: :data:`~repro.dsm.node.PIGGYBACK_MAX_BYTES` each) to the release
+    #: message; the manager stores them alongside the
+    #: :class:`~repro.dsm.writenotice.NoticeLog` and, at grant time,
+    #: ships the complete per-page diff chains for pages the acquirer
+    #: wrote under this lock before (last-acquirer history).  The
+    #: acquirer patches its READ_ONLY copy in place instead of
     #: invalidating, eliminating the fault + page-fetch round-trip inside
-    #: the critical section.  Requires exact diffs: silently inert while
-    #: ``diff_gap > 0`` (coalesced runs carry stale gap bytes that must
-    #: not be replayed at third nodes).
+    #: the critical section.
     lock_piggyback: bool = False
-    #: per-diff byte budget for piggybacking: larger diffs are cheaper to
-    #: re-fetch as whole pages than to ship twice (release + every grant)
-    piggyback_max_bytes: int = 1024
     #: protocol accelerator — adaptive home migration: the barrier master
     #: keeps per-page byte-weighted writer histories (EWMA, halved every
     #: epoch) fed by sized write notices, and migrates a page's home to
     #: its dominant writer when that writer's share exceeds
-    #: ``migration_share`` — including multi-writer pages, which the
-    #: eager sole-writer rule (``home_migration``) can never move; the
-    #: old home hands the current page copy to the new home at the
-    #: barrier.  Homes additionally keep per-page *reader* histories
+    #: :data:`~repro.dsm.node.MIGRATION_SHARE` — including multi-writer
+    #: pages, which the eager sole-writer rule (``home_migration``) can
+    #: never move; the old home hands the current page copy to the new
+    #: home at the barrier.  Homes additionally keep per-page *reader* histories
     #: (which nodes fetched the page recently) and, right after a barrier
     #: departure, push the fresh copy to predicted re-fetchers — turning
     #: the steady-state invalidate/fault/fetch round-trip of stable
     #: producer-consumer pages into a one-way update.  Sized notices cost
     #: 16 B on the wire instead of 12.
     adaptive_migration: bool = False
-    #: EWMA share of a page's write bytes a challenger needs to take the
-    #: home (the incumbent home's in-place writes are credited one full
-    #: page per epoch, a natural hysteresis against ping-pong)
-    migration_share: float = 0.5
-    #: protocol accelerator — sequential fetch read-ahead: when a fault
-    #: follows a fault on the previous page (a block scan or gather), the
-    #: request names up to this many further contiguous pages that are
-    #: invalid locally and share the same home; the home bundles the ones
-    #: it can serve into the single reply, and the faulting node installs
-    #: them alongside — one round-trip instead of one per page.  0 = off.
-    #: Best-effort: bundled pages the home cannot serve simply fault
-    #: later, so correctness never depends on the read-ahead.
-    fetch_readahead: int = 0
     #: hierarchical synchronization — tree barrier fan-in: 0 keeps the
     #: flat centralized master (every node sends its arrival straight to
     #: node 0, the master answers with one departure per node — O(n)
@@ -114,25 +75,11 @@ class DsmConfig:
     #: epoch; departures fan out down the same tree.  Values are
     #: bit-identical either way — only message topology and timing move.
     barrier_fanin: int = 0
-    #: lock-manager placement: ``"modulo"`` is the historical
-    #: ``lock_id % n_nodes`` mapping (consecutive lock ids pile onto the
-    #: low nodes under small id sets); ``"spread"`` uses a multiplicative
-    #: hash so manager homes scatter across the cluster; ``"locality"``
-    #: adds first-toucher assignment — a static directory node (spread
-    #: hash) hands management of each lock to its first requester and
-    #: forwards stray requests, grants carry the manager id so clients
-    #: cache it and talk to the manager directly from then on.
-    lock_shard: str = "modulo"
 
     def __post_init__(self):
         if self.barrier_fanin < 0 or self.barrier_fanin == 1:
             raise ValueError(
                 f"barrier_fanin must be 0 (flat) or >= 2, got {self.barrier_fanin}"
-            )
-        if self.lock_shard not in ("modulo", "spread", "locality"):
-            raise ValueError(
-                f"lock_shard must be 'modulo', 'spread' or 'locality', "
-                f"got {self.lock_shard!r}"
             )
 
     def replace(self, **kw) -> "DsmConfig":
@@ -142,19 +89,12 @@ class DsmConfig:
 
     def accelerated(self) -> "DsmConfig":
         """This config with all protocol accelerators enabled."""
-        return self.replace(
-            batch_notices=True,
-            lock_piggyback=True,
-            adaptive_migration=True,
-            fetch_readahead=8,
-        )
+        return self.replace(lock_piggyback=True, adaptive_migration=True)
 
-    def hierarchical(self, fanin: int = 4, lock_shard: str = "spread") -> "DsmConfig":
-        """This config with hierarchical synchronization enabled: tree
-        barrier with the given fan-in plus sharded lock-manager homes.
-        Pass ``lock_shard="locality"`` for first-toucher manager
-        assignment on top of the spread directory."""
-        return self.replace(barrier_fanin=fanin, lock_shard=lock_shard)
+    def hierarchical(self, fanin: int = 4) -> "DsmConfig":
+        """This config with hierarchical synchronization enabled: a tree
+        barrier with the given fan-in."""
+        return self.replace(barrier_fanin=fanin)
 
 
 #: ParADE's DSM: HLRC + migratory home, blocking locks.
@@ -166,12 +106,12 @@ KDSM_BASELINE = DsmConfig(name="kdsm", home_migration=False, lock_spin=True)
 #: Homeless LRC ablation: TreadMarks-style diff pulling, no home directory.
 HOMELESS_LRC = DsmConfig(name="homeless", home_migration=False, homeless=True)
 
-#: ParADE's DSM with the protocol accelerator on: batched write-notice/diff
-#: frames, lock-grant diff piggybacking, adaptive (byte-weighted) home
-#: migration.  See docs/PERFORMANCE.md "Protocol optimizations".
+#: ParADE's DSM with the protocol accelerator on: lock-grant diff
+#: piggybacking and adaptive (byte-weighted) home migration with update
+#: push.  See docs/PERFORMANCE.md "Protocol optimizations".
 PARADE_ACCEL = PARADE_DSM.accelerated()
 
 #: ParADE's DSM with hierarchical synchronization on: fan-in-4 tree
-#: barrier with in-tree write-notice merging plus spread lock-manager
-#: sharding.  See docs/PERFORMANCE.md "Scaling to 16-32 nodes".
+#: barrier with in-tree write-notice merging.  See docs/PERFORMANCE.md
+#: "Scaling to 16-32 nodes".
 PARADE_HIER = PARADE_DSM.hierarchical()

@@ -61,9 +61,6 @@ from repro.profile.phases import (
 KIND_HLRC = 0
 KIND_OBJECT = 1
 
-#: wire bytes per record header in a batched diff frame (page id + length)
-BATCH_ENTRY_BYTES = 8
-
 #: update push (adaptive migration): a home keeps pushing a page's fresh
 #: copy to a reader for this many barrier epochs after the reader's last
 #: real fetch.  A stable consumer re-fetches once per window and is pushed
@@ -74,27 +71,16 @@ PUSH_INTEREST_EPOCHS = 8
 #: wire bytes of a push frame header (page id + epoch stamp)
 PUSH_HEADER_BYTES = 12
 
+#: lock-grant piggybacking: per-diff byte budget — larger diffs are
+#: cheaper to re-fetch as whole pages than to ship twice (release + every
+#: grant)
+PIGGYBACK_MAX_BYTES = 1024
 
-class DiffGapClobber(RuntimeError):
-    """A coalesced diff (``diff_gap > 0``) would overwrite bytes another
-    node wrote in the same interval — the documented single-writer
-    precondition of :func:`repro.dsm.diffs.compute_diff` is violated and
-    the home copy would be silently corrupted."""
-
-    def __init__(self, home: int, page: int, writer: int, other: int,
-                 lo: int, hi: int) -> None:
-        super().__init__(
-            f"diff_gap clobber on home {home}, page {page}: coalesced diff "
-            f"from node {writer} overlaps bytes [{lo:#x}, {hi:#x}) written by "
-            f"node {other} in the same interval; diff_gap > 0 requires a "
-            f"single writer per page per interval"
-        )
-        self.home = home
-        self.page = page
-        self.writer = writer
-        self.other = other
-        self.lo = lo
-        self.hi = hi
+#: adaptive migration: EWMA share of a page's write bytes a challenger
+#: needs to take the home (the incumbent home's in-place writes are
+#: credited one full page per epoch, a natural hysteresis against
+#: ping-pong)
+MIGRATION_SHARE = 0.5
 
 _OS_PROFILES = {"linux-2.4": LINUX_24, "aix-4.3.3": AIX_433}
 
@@ -143,14 +129,9 @@ class DsmNodeStats:
     stale_replies         count   duplicate/late replies discarded         reliability ablations
                                   after a re-issue already resolved
                                   the request (``chaos/stale-reply``)
-    notices_batched       count   per-page diff records coalesced into     protocol-accelerator
-                                  batched ``dbat`` frames — messages        ablations
-                                  saved is this minus the frame count      (docs/PERFORMANCE.md)
-                                  (``dsm.page/diff-batch`` args
-                                  ``entries``)
     diffs_piggybacked     count   diffs applied straight off lock grants   protocol-accelerator
                                   instead of invalidate + fault + fetch    ablations
-                                  (``dsm.page/piggy-apply`` args
+                                  (``dsm.page/piggy-apply`` args           (docs/PERFORMANCE.md)
                                   ``diffs``)
     updates_pushed        count   fresh page copies pushed by this home    protocol-accelerator
                                   to predicted re-fetchers after a         ablations
@@ -159,10 +140,6 @@ class DsmNodeStats:
                                   faults it will never take; pushes        ablations
                                   minus installs were dropped as stale
                                   (``dsm.page/push-apply``)
-    readahead_pages       count   extra pages installed off bundled        protocol-accelerator
-                                  sequential-fetch replies — round-trips   ablations
-                                  a block scan or gather skipped
-                                  (``dsm.page/readahead-apply``)
     barrier_arrivals_rx   count   barrier arrival frames received from     scale-out ablations
                                   *other* nodes: n-1 per epoch at a flat   (docs/PERFORMANCE.md
                                   master, <= fan-in per epoch per tree     "Scaling")
@@ -179,11 +156,9 @@ class DsmNodeStats:
                                   in-tree merge kept off the wire
                                   (``dsm.barrier/relay`` args ``pages``)
     lock_grants           count   lock grants issued by this node as       scale-out ablations
-                                  manager (``dsm.lock/grant``)             (shard balance)
-    lock_remote_grants    count   ... granted to another node; the         scale-out ablations
-                                  remote share shows whether
-                                  ``lock_shard="locality"`` kept grants
-                                  local (``dsm.lock/grant`` requester)
+                                  manager (``dsm.lock/grant``)             (lock balance)
+    lock_remote_grants    count   ... granted to another node              scale-out ablations
+                                  (``dsm.lock/grant`` requester)
     ====================  ======  =======================================  ==========================
 
     ``RunResult.dsm_stats`` additionally carries the system-wide
@@ -206,11 +181,9 @@ class DsmNodeStats:
     fetches_served: int = 0
     dsm_reissues: int = 0
     stale_replies: int = 0
-    notices_batched: int = 0
     diffs_piggybacked: int = 0
     updates_pushed: int = 0
     updates_installed: int = 0
-    readahead_pages: int = 0
     barrier_arrivals_rx: int = 0
     barrier_relays: int = 0
     notices_merged: int = 0
@@ -307,25 +280,11 @@ class DsmNode:
         self._lock_holder: Dict[int, Optional[int]] = {}
         self._lock_queue: Dict[int, List] = {}
         self._lock_log: Dict[int, NoticeLog] = {}
-        # lock sharding (DsmConfig.lock_shard="locality"): the static
-        # directory's record of each lock's assigned (first-toucher)
-        # manager, and the client-side manager cache learned from grants
-        self._lock_assign: Dict[int, int] = {}
-        self._lock_home: Dict[int, int] = {}
         self._interval = 0
         # notices this node created in lock intervals since the last barrier;
         # they must still propagate at the next barrier (HLRC would carry
         # them in vector timestamps — we piggyback them conservatively)
         self._notices_since_barrier: List[WriteNotice] = []
-
-        # home-side bookkeeping for the diff_gap > 0 precondition:
-        # byte runs of diffs applied this interval, page -> [(seq, writer,
-        # lo, hi)], and a freshness floor per (page, requester) — a node
-        # that fetched the page after a diff applied already carries those
-        # bytes, so its later (lock-ordered) diff is not a second writer.
-        self._gap_runs: Dict[int, List[tuple]] = {}
-        self._gap_fresh: Dict[tuple, int] = {}
-        self._apply_seq = 0
 
         # pages whose invalidation arrived while a fetch was in flight
         # (TRANSIENT/BLOCKED); drained by the fetching thread, which
@@ -333,14 +292,8 @@ class DsmNode:
         self._pending_inval: Set[int] = set()
 
         # protocol accelerator (docs/PERFORMANCE.md "Protocol
-        # optimizations").  Piggybacking needs exact diffs: coalesced
-        # diff_gap runs carry stale gap bytes that must not be replayed
-        # at third nodes, so the flag is inert while diff_gap > 0.
-        self._accel_piggyback = (
-            dsm_config.lock_piggyback
-            and dsm_config.diff_gap == 0
-            and not dsm_config.homeless
-        )
+        # optimizations")
+        self._accel_piggyback = dsm_config.lock_piggyback and not dsm_config.homeless
         self._accel_adaptive = dsm_config.adaptive_migration and not dsm_config.homeless
         #: wire bytes per notice record: sized notices carry diff byte counts
         self._notice_nbytes = (
@@ -364,12 +317,11 @@ class DsmNode:
         # update push, reader side: pages this node remote-fetched since
         # its last barrier arrival — reported to the master as interest
         self._fetched_since_barrier: Set[int] = set()
-        # receiver side: page -> event a faulting thread parks on when an
-        # inbound one-way frame was promised for the page — a barrier
-        # departure announced an update push, or a fetch reply promised
-        # read-ahead trailers.  Waiting for the frame in flight beats
-        # issuing our own fetch round-trip; any install or lock-grant
-        # invalidation of the page wakes (and removes) the event.
+        # receiver side: page -> event a faulting thread parks on when a
+        # barrier departure announced an update push for the page.
+        # Waiting for the frame in flight beats issuing our own fetch
+        # round-trip; any install or lock-grant invalidation of the page
+        # wakes (and removes) the event.
         self._expected_frames: Dict[int, Event] = {}
         # ... frames that arrived before this node processed the departure
         # that announced them, page -> (epoch, raw page bytes)
@@ -383,10 +335,6 @@ class DsmNode:
         # so it must not be installed (the lock's happens-before edge
         # promised the newer bytes); cleared at every departure.
         self._lock_invalidated: Set[int] = set()
-        # fetch read-ahead: the previously fetched page (the sequential-
-        # scan detector — a fault on the successor of the last fetched
-        # page asks the home to trail further contiguous pages)
-        self._last_fetched_page = -2
         # grant time of locks this node currently holds; feeds the
         # metrics layer's lock-hold histogram (grant-to-release)
         self._lock_grant_t: Dict[int, float] = {}
@@ -736,77 +684,30 @@ class DsmNode:
         return value
 
     def _fetch_page(self, page: int):
-        """Request the up-to-date page from its home; returns page bytes.
-
-        With ``fetch_readahead`` and a sequential fault pattern (previous
-        fault hit page - 1), the request also names up to *readahead*
-        further contiguous pages that are invalid here and share the same
-        home.  The home replies with the primary page alone — the fault's
-        round-trip latency is untouched — then trails one-way ``raP``
-        frames for the named pages it can serve; the comm thread installs
-        each sound arrival (:meth:`_receive_readahead`).  Best-effort: a
-        page that never arrives simply faults later.
-        """
+        """Request the up-to-date page from its home; returns page bytes."""
         home = self.home[page]
         assert home != self.id, f"node {self.id} faulted on page {page} it homes"
-        ra = self.config.fetch_readahead
-        if ra > 0:
-            extras = ()
-            if page - 1 == self._last_fetched_page:
-                n_pages = len(self.state)
-                extras = tuple(
-                    q for q in range(page + 1, min(page + ra, n_pages))
-                    if self.home[q] == home
-                    and self.state[q] is PageState.INVALID
-                    and self.kind[q] != KIND_OBJECT
-                    # a parked thread waits on the announced push frame
-                    # for that page — installing a fetch copy would not
-                    # wake it, so leave announced pages to the push
-                    and q not in self._expected_frames
-                )
-            self._last_fetched_page = page
-            req_payload = (page, self.id, extras, self._barrier_epoch)
-            req_nb = 12 + 4 * len(extras)
-        else:
-            req_payload = (page, self.id)
-            req_nb = 8
         req_id = self._next_req()
         ev = self._pending_event(req_id)
         t0 = self.sim.now
 
         def send_req():
             yield from self.net.send(
-                self.id, home, req_nb, req_payload, tag=("dsm", "fetch", req_id)
+                self.id, home, 8, (page, self.id), tag=("dsm", "fetch", req_id)
             )
 
         prof = self.sim.prof
         if prof is None:
             yield from send_req()
-            reply = yield from self._await_reply(ev, send_req)
+            data = yield from self._await_reply(ev, send_req)
         else:
             # request round-trip: send + wait for the home's reply
             prof.push(PH_FAULT_FETCH)
             try:
                 yield from send_req()
-                reply = yield from self._await_reply(ev, send_req)
+                data = yield from self._await_reply(ev, send_req)
             finally:
                 prof.pop()
-        if ra > 0:
-            data, promised = reply
-            for q in promised:
-                # park follow-up faults on the promised trailer frames —
-                # registered only for still-INVALID pages (a sibling's
-                # in-flight fetch wins TRANSIENT pages, and its install
-                # path would not resolve the promise)
-                if (
-                    self.state[q] is PageState.INVALID
-                    and q not in self._expected_frames
-                ):
-                    self._expected_frames[q] = Event(
-                        self.sim, name=f"rawait[{self.id}:{q}]"
-                    )
-        else:
-            data = reply
         if prof is not None:
             prof.on_fetch(page, len(data))
         self.stats.pages_fetched += 1
@@ -830,12 +731,7 @@ class DsmNode:
         tr = self.sim.trace
         t0 = self.sim.now
         n_pulled = 0
-        check_gap = self.config.diff_gap > 0
         for epoch, writers in sorted(records):
-            # runs applied within this epoch, for the coalescing guard:
-            # with diff_gap > 0 a gap byte carries the writer's (possibly
-            # stale) copy of another writer's same-epoch data
-            epoch_runs: List[tuple] = []
             for w in writers:
                 req_id = self._next_req()
                 ev = self._pending_event(req_id)
@@ -862,15 +758,6 @@ class DsmNode:
                 if prof is not None:
                     prof.on_fetch(page, nb)
                 yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
-                if check_gap:
-                    for off, data in diff:
-                        lo, hi = off, off + len(data)
-                        for ow, olo, ohi in epoch_runs:
-                            if ow != w and lo < ohi and olo < hi:
-                                raise DiffGapClobber(
-                                    self.id, page, w, ow, max(lo, olo), min(hi, ohi)
-                                )
-                        epoch_runs.append((w, lo, hi))
                 apply_diff(view, diff)
                 n_pulled += 1
         if tr is not None and records:
@@ -892,29 +779,15 @@ class DsmNode:
             self._resolve(req_id, msg.payload)
             return
         if kind == "fetch":
-            if len(msg.payload) == 4:
-                page, requester, extras, ra_epoch = msg.payload
-            else:
-                page, requester = msg.payload
-                extras, ra_epoch = (), -1
-            yield from self._serve_fetch(page, requester, req_id, extras, ra_epoch)
+            page, requester = msg.payload
+            yield from self._serve_fetch(page, requester, req_id)
         elif kind == "fetchR":
             self._resolve(req_id, msg.payload)
         elif kind == "diff":
             page, diff = msg.payload
-            yield from self._apply_incoming_diff(page, diff, msg.src)
+            yield from self._apply_incoming_diff(page, diff)
             yield from self.net.send(self.id, msg.src, 4, None, tag=("dsm", "diffR", req_id))
         elif kind == "diffR":
-            self._resolve(req_id, None)
-        elif kind == "dbat":
-            # batched release: apply every (page, diff) record, ack once.
-            # Rides the chaos ack/retransmit layer like "diff" — the frame
-            # is exactly-once at the link layer, so per-page application
-            # stays non-idempotent-safe.
-            for page, diff in msg.payload:
-                yield from self._apply_incoming_diff(page, diff, msg.src)
-            yield from self.net.send(self.id, msg.src, 4, None, tag=("dsm", "dbatR", req_id))
-        elif kind == "dbatR":
             self._resolve(req_id, None)
         elif kind == "hand":
             # adaptive migration: the old home ships its current copy to
@@ -926,20 +799,13 @@ class DsmNode:
             # node is predicted to re-fetch (fire-and-forget; dropped
             # whenever installing would not be sound)
             yield from self._receive_push(msg.payload, msg.src)
-        elif kind == "raP":
-            # sequential-fetch read-ahead: a home trails contiguous pages
-            # behind a fetch reply (fire-and-forget; dropped whenever
-            # installing would not be sound)
-            yield from self._receive_readahead(msg.payload, msg.src)
         else:  # pragma: no cover - protocol corruption guard
             raise RuntimeError(f"unknown dsm message kind {kind!r}")
 
-    def _serve_fetch(self, page: int, requester: int, req_id: int,
-                     extras=(), ra_epoch: int = -1):
+    def _serve_fetch(self, page: int, requester: int, req_id: int):
         if self.home[page] != self.id:
             # Stale home pointer (should not happen barrier-to-barrier, but
-            # forward for robustness; one extra hop).  Read-ahead extras
-            # are dropped at the forward — best-effort by design.
+            # forward for robustness; one extra hop).
             yield from self.net.send(
                 self.id, self.home[page], 8, (page, requester), tag=("dsm", "fetch", req_id)
             )
@@ -958,129 +824,23 @@ class DsmNode:
         )
         self.stats.fetches_served += 1
         data = self._page_view(page).tobytes()
-        if self.config.diff_gap > 0:
-            # the requester's copy now reflects every diff applied so far;
-            # diffs it sends later are not concurrent with those
-            self._gap_fresh[(page, requester)] = self._apply_seq
         tr = self.sim.trace
         if tr is not None:
             tr.instant("dsm.page", "serve-fetch", node=self.id,
                        page=page, requester=requester)
-        if self.config.fetch_readahead > 0:
-            # snapshot the requested read-ahead pages this home can serve
-            # right now (synchronously — same snapshot semantics as the
-            # primary page).  The reply carries the exact promise list so
-            # the requester can park follow-up faults on the trailing
-            # frames instead of re-fetching; the frames themselves go out
-            # from a detached sender so this comm thread stays responsive.
-            bundle = [
-                (q, self._page_view(q).tobytes())
-                for q in extras
-                if self.home[q] == self.id
-                and q not in self._pending_handoff
-                and self.state[q] in (PageState.READ_ONLY, PageState.DIRTY)
-            ]
-            if self.config.diff_gap > 0:
-                for q, _ in bundle:
-                    self._gap_fresh[(q, requester)] = self._apply_seq
-            promised = tuple(q for q, _ in bundle)
-            yield from self.net.send(
-                self.id, requester, len(data) + 4 * len(promised),
-                (data, promised), tag=("dsm", "fetchR", req_id),
-            )
-            if bundle:
-                self.sim.process(
-                    self._readahead_sender(bundle, requester, ra_epoch),
-                    label=f"ra[{self.id}->{requester}]",
-                )
-            return
         yield from self.net.send(
             self.id, requester, len(data), data, tag=("dsm", "fetchR", req_id)
         )
 
-    def _readahead_sender(self, bundle, requester: int, ra_epoch: int):
-        """Detached sender for read-ahead pages: one one-way ``raP``
-        frame per page, installed by the requester's comm thread when
-        still sound (:meth:`_receive_readahead`)."""
-        for q, qdata in bundle:
-            yield from self.net.send(
-                self.id, requester, self.page_size + PUSH_HEADER_BYTES,
-                (q, qdata, ra_epoch), tag=("dsm", "raP", self._next_req()),
-            )
-
-    def _receive_readahead(self, payload, src: int):
-        """Comm-thread handler for an incoming ``raP`` read-ahead frame.
-
-        Installs the copy only when doing so is indistinguishable from
-        the fetch the requester would otherwise issue: the requester is
-        still in the inter-barrier window it stamped on the request
-        (entering the next barrier bumps ``_barrier_epoch``, so frames
-        crossing a barrier are dropped before they can bypass its
-        invalidations), the page is still INVALID with an unchanged home,
-        and no lock-grant notice promised newer bytes this window.
-        Anything else: drop — the frame is an optimisation, the fault +
-        fetch path remains correct.  Installing resolves the promise
-        registered off the fetch reply, waking parked threads.
-        """
-        page, data, ra_epoch = payload
-        if (
-            self.kind[page] == KIND_OBJECT
-            or self._barrier_epoch != ra_epoch
-            or self.home[page] != src
-            or page in self._lock_invalidated
-            or self.state[page] is not PageState.INVALID
-        ):
-            return
-        self.stats.readahead_pages += 1
-        # keep the sequential-scan detector alive across trailer-served
-        # stretches: the next fault past the promised run re-triggers
-        # read-ahead instead of restarting the two-fault warm-up
-        self._last_fetched_page = page
-        yield from self._install_copy(page, data, "readahead-apply")
-
-    def _apply_incoming_diff(self, page: int, diff, src: int):
+    def _apply_incoming_diff(self, page: int, diff):
         assert self.home[page] == self.id, (
             f"diff for page {page} arrived at non-home {self.id}"
         )
-        if self.config.diff_gap > 0 and diff:
-            self._check_gap_precondition(page, diff, src)
         yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
         apply_diff(self._page_view(page), diff)
         tr = self.sim.trace
         if tr is not None:
             tr.instant("dsm.page", "diff-apply", node=self.id, page=page)
-
-    def _check_gap_precondition(self, page: int, diff, src: int) -> None:
-        """Enforce compute_diff's single-writer-per-interval precondition.
-
-        With ``diff_gap > 0`` a diff run may contain *gap* bytes carrying
-        the writer's stale copy of data; if another node wrote overlapping
-        bytes of the same page in the same interval, applying this run
-        would silently clobber them — raise instead.  A writer whose copy
-        was fetched *after* an earlier diff applied (tracked by
-        ``_gap_fresh``, stamped at :meth:`_serve_fetch`) already carries
-        those bytes, so lock-ordered writer chains pass; the registry is
-        cleared when this node departs a barrier, bounding it to one
-        interval.
-        """
-        self._apply_seq += 1
-        seq = self._apply_seq
-        floor = self._gap_fresh.get((page, src), -1)
-        runs = self._gap_runs.setdefault(page, [])
-        stale = [r for r in runs if r[1] != src and r[0] > floor]
-        if stale:
-            for off, data in diff:
-                lo, hi = off, off + len(data)
-                for oseq, owriter, olo, ohi in stale:
-                    if lo < ohi and olo < hi:
-                        raise DiffGapClobber(
-                            self.id, page, src, owriter, max(lo, olo), min(hi, ohi)
-                        )
-            san = self.sim.san
-            if san is not None:
-                san.on_gap_writers(self.id, page, {src} | {r[1] for r in stale})
-        for off, data in diff:
-            runs.append((seq, src, off, off + len(data)))
 
     # ------------------------------------------------------------------
     # adaptive home migration: page handoff (new-home side)
@@ -1274,15 +1034,9 @@ class DsmNode:
         Homeless mode (*epoch* given): diffs are retained locally, keyed by
         the barrier epoch, for later pulling by faulting nodes.
 
-        With ``batch_notices`` every diff within ``batch_max_bytes`` bound
-        for the same home travels in one ``("dsm", "dbat")`` frame per
-        peer with a single ack (larger diffs keep their own pipelined
-        ``diff`` frame — see the config field's rationale); the
-        per-page ``diffs_sent``/``diff_bytes`` accounting is unchanged so
-        runs stay comparable across the flag.  *collect*, if given,
-        receives ``{page: diff}`` for diffs within the piggyback budget —
-        the lock-release path forwards them to the lock manager.  With
-        ``adaptive_migration`` the returned notices are sized: they carry
+        *collect*, if given, receives ``{page: diff}`` for diffs within
+        :data:`PIGGYBACK_MAX_BYTES` — the lock-release path forwards them
+        to the lock manager.  With ``adaptive_migration`` the returned notices are sized: they carry
         the diff byte count, the home writer credited one full page."""
         self._interval += 1
         tr = self.sim.trace
@@ -1303,7 +1057,7 @@ class DsmNode:
                     twin = self.twins.get(p)
                     assert twin is not None, f"dirty page {p} has no twin on {self.id}"
                     yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
-                    diff = compute_diff(twin, self._page_view(p), self.config.diff_gap)
+                    diff = compute_diff(twin, self._page_view(p))
                     self._diff_log[(p, epoch)] = diff
                     if prof is not None:
                         prof.on_diff(p, diff_nbytes(diff))
@@ -1311,8 +1065,6 @@ class DsmNode:
                     tr.span("dsm.page", "flush", t0, node=self.id, dirty=n_dirty, retained=True)
                 return [WriteNotice(p, self.id, self._interval) for p in pages]
             acks = []
-            batch = self.config.batch_notices
-            by_home: Dict[int, List[tuple]] = {}
             sizes: Dict[int, int] = {}
             for p in pages:
                 if self.home[p] == self.id:
@@ -1320,33 +1072,20 @@ class DsmNode:
                 twin = self.twins.get(p)
                 assert twin is not None, f"dirty non-home page {p} has no twin on {self.id}"
                 yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
-                diff = compute_diff(twin, self._page_view(p), self.config.diff_gap)
+                diff = compute_diff(twin, self._page_view(p))
                 nb = diff_nbytes(diff)
                 sizes[p] = nb
                 if not diff:
                     continue
-                if collect is not None and nb <= self.config.piggyback_max_bytes:
+                if collect is not None and nb <= PIGGYBACK_MAX_BYTES:
                     collect[p] = diff
                 self.stats.diffs_sent += 1
                 self.stats.diff_bytes += nb
                 if prof is not None:
                     prof.on_diff(p, nb)
-                if batch and nb <= self.config.batch_max_bytes:
-                    by_home.setdefault(self.home[p], []).append((p, diff))
-                else:
-                    req_id = self._next_req()
-                    acks.append(self._pending_event(req_id))
-                    yield from self.net.send(self.id, self.home[p], nb, (p, diff), tag=("dsm", "diff", req_id))
-            for dst in sorted(by_home):
-                entries = by_home[dst]
                 req_id = self._next_req()
                 acks.append(self._pending_event(req_id))
-                nb = sum(diff_nbytes(d) for _, d in entries) + BATCH_ENTRY_BYTES * len(entries)
-                self.stats.notices_batched += len(entries)
-                if tr is not None:
-                    tr.instant("dsm.page", "diff-batch", node=self.id,
-                               dst=dst, entries=len(entries), nbytes=nb)
-                yield from self.net.send(self.id, dst, nb, entries, tag=("dsm", "dbat", req_id))
+                yield from self.net.send(self.id, self.home[p], nb, (p, diff), tag=("dsm", "diff", req_id))
             for ev in acks:
                 yield ev
             if tr is not None and n_dirty:
@@ -1474,11 +1213,6 @@ class DsmNode:
             (inval_writers, new_homes), push_plan = departure, {}
         if san is not None:
             san.on_barrier_depart(self.id, epoch)
-        if self._gap_runs:
-            # the barrier closes every node's interval; diffs of the next
-            # interval start a fresh single-writer window
-            self._gap_runs.clear()
-            self._gap_fresh.clear()
         # push staleness guard: lock invalidations of the closed window
         # no longer block installs (stale pushes now fail the epoch check)
         self._lock_invalidated.clear()
@@ -1736,7 +1470,7 @@ class DsmNode:
                 if (
                     best_writer != old_home
                     and total > 0
-                    and best > self.config.migration_share * total
+                    and best > MIGRATION_SHARE * total
                 ):
                     new_homes[page] = best_writer
                     self.system.stats_home_migrations += 1
@@ -1840,30 +1574,9 @@ class DsmNode:
     # ------------------------------------------------------------------
     # distributed locks (LRC piggybacking; KDSM-style optional busy-wait)
     # ------------------------------------------------------------------
-    def lock_directory_of(self, lock_id: int) -> int:
-        """Static shard home of a lock: the node that serves (or, in
-        locality mode, assigns and forwards) its acquire requests.
-        ``"modulo"`` keeps the historical ``lock_id % n`` mapping; the
-        other modes scatter consecutive lock ids across the cluster with
-        a multiplicative hash so small id sets don't pile every manager
-        onto the low nodes."""
-        n = self.system.cluster.n_nodes
-        if self.config.lock_shard == "modulo":
-            return lock_id % n
-        # Fibonacci hash, taking the *high* bits of the 32-bit product:
-        # the multiplier is odd, so reducing the product mod a
-        # power-of-two n would use only its low bits and collapse back
-        # to the modulo mapping (2654435761 ≡ 1 mod 16).
-        return (((lock_id * 2654435761) & 0xFFFFFFFF) >> 17) % n
-
     def lock_manager_of(self, lock_id: int) -> int:
-        """The node this client sends lock traffic to.  In locality mode
-        this is the cached first-toucher manager once a grant has taught
-        us where the lock lives; until then, the directory (which
-        forwards)."""
-        if self.config.lock_shard == "locality":
-            return self._lock_home.get(lock_id, self.lock_directory_of(lock_id))
-        return self.lock_directory_of(lock_id)
+        """The node that manages a lock: ``lock_id % n_nodes``."""
+        return lock_id % self.system.cluster.n_nodes
 
     def lock_acquire(self, lock_id: int):
         """Acquire a global lock; applies piggybacked write notices."""
@@ -1896,11 +1609,6 @@ class DsmNode:
         finally:
             if prof is not None:
                 prof.pop()
-        if self.config.lock_shard == "locality":
-            # the grant names the actual manager: cache it so later
-            # acquires/releases skip the directory hop
-            manager, granted = granted
-            self._lock_home[lock_id] = manager
         if self._accel_piggyback:
             notices, piggy = granted
         else:
@@ -2029,37 +1737,6 @@ class DsmNode:
         _chan, kind, req_id = msg.tag
         if kind == "acq":
             lock_id, requester = msg.payload
-            if self.config.lock_shard == "locality":
-                owner = self._lock_assign.get(lock_id)
-                if owner is None:
-                    if self.lock_directory_of(lock_id) == self.id:
-                        # directory, first request: the first toucher
-                        # becomes the lock's manager
-                        owner = self._lock_assign[lock_id] = requester
-                        tr = self.sim.trace
-                        if tr is not None:
-                            tr.instant("dsm.lock", "shard-assign",
-                                       node=self.id, lock=lock_id,
-                                       manager=requester)
-                    else:
-                        # the directory forwarded this frame to us: we are
-                        # the assigned manager
-                        owner = self._lock_assign[lock_id] = self.id
-                if owner != self.id:
-                    # request landed on the directory for a lock managed
-                    # elsewhere (a client that hasn't learnt the manager
-                    # yet): forward it, same tag so the grant still
-                    # resolves the requester's original req_id
-                    tr = self.sim.trace
-                    if tr is not None:
-                        tr.instant("dsm.lock", "forward", node=self.id,
-                                   lock=lock_id, requester=requester,
-                                   manager=owner)
-                    yield from self.net.send(
-                        self.id, owner, 12, msg.payload,
-                        tag=("lk", "acq", req_id),
-                    )
-                    return
             log = self._lock_log.setdefault(lock_id, NoticeLog())
             holder = self._lock_holder.get(lock_id)
             if holder is None:
@@ -2135,11 +1812,6 @@ class DsmNode:
             nb += sum(
                 diff_nbytes(d) for chain in piggy.values() for d in chain
             ) + 8 * len(piggy)
-        if self.config.lock_shard == "locality":
-            # grants carry the manager id so clients learn (and cache)
-            # where the lock lives after the first directory hop
-            payload = (self.id, payload)
-            nb += 4
         yield from self.net.send(self.id, requester, nb, payload, tag=("lk", "gr", req_id))
 
     def _build_piggyback(self, log: NoticeLog, requester: int, start: int, pending):

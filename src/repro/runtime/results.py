@@ -38,10 +38,9 @@ class RunResult:
     ``home_migrations``) — see :class:`DsmNodeStats` for the per-key
     documentation.  Runs with the protocol accelerator on
     (``protocol_accel=True``; docs/PERFORMANCE.md "Protocol
-    optimizations") additionally populate ``notices_batched``,
-    ``diffs_piggybacked``, ``updates_pushed``, ``updates_installed`` and
-    ``readahead_pages``; all five stay zero with the flags off, so a
-    flags-off run's dict is unchanged.  Runs with hierarchical
+    optimizations") additionally populate ``diffs_piggybacked``,
+    ``updates_pushed`` and ``updates_installed``; all three stay zero
+    with the flags off, so a flags-off run's dict is unchanged.  Runs with hierarchical
     synchronization on (``hierarchical=True``; docs/PERFORMANCE.md
     "Scaling past eight nodes") likewise populate the scale-out
     counters ``barrier_relays`` (tree-barrier aggregate frames relayed
@@ -51,9 +50,8 @@ class RunResult:
     (remote barrier-arrival frames received — on the master this is
     n−1 per epoch flat but at most the tree fan-in with
     ``barrier_fanin`` set), ``lock_grants`` and ``lock_remote_grants``
-    (grants total / grants to another node, whose ratio is the lock
-    shard's remote-grant share) count in every run and let flat and
-    sharded topologies be compared key-for-key.
+    (grants total / grants to another node) count in every run and let
+    flat and tree topologies be compared key-for-key.
 
     ``mpi_stats``:
 
@@ -165,11 +163,9 @@ class RunResult:
             "invalidations",
             # protocol-accelerator counters: zero (hence hidden) unless
             # the run had protocol_accel=True
-            "notices_batched",
             "diffs_piggybacked",
             "updates_pushed",
             "updates_installed",
-            "readahead_pages",
             # scale-out counters: relay/merge stay zero (hence hidden)
             # unless the run had hierarchical=True
             "barrier_relays",

@@ -49,14 +49,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--accel", action="store_true",
         help="run with the protocol accelerator on — the sanitizer must "
-        "stay green with batched notices, piggybacked diffs, update "
-        "pushes and read-ahead frames in flight",
+        "stay green with piggybacked diffs, page handoffs and update "
+        "pushes in flight",
     )
     parser.add_argument(
         "--hier", action="store_true",
         help="run with hierarchical synchronization on — the sanitizer "
-        "must stay green with tree-barrier aggregate frames and sharded "
-        "lock managers in flight (composes with --accel)",
+        "must stay green with tree-barrier aggregate frames in flight "
+        "(composes with --accel)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None,

@@ -38,8 +38,7 @@ Live protocol invariants (promoted from the offline
   chains for pages the same grant delivers notices for — the grant's
   happens-before edge is what makes applying them sound;
 * barrier-epoch agreement (consecutive per node, one arrival per node
-  per epoch, epochs complete in order);
-* the ``diff_gap > 0`` single-writer-per-interval precondition at homes.
+  per epoch, epochs complete in order).
 
 When a global barrier completes (all nodes arrived), every application
 thread is blocked at it, so the shadow memory is cleared — accesses in
@@ -474,15 +473,3 @@ class Sanitizer:
                 f"matching write notices",
                 dedup=(manager, lock_id, requester, tuple(sorted(extra))),
             )
-
-    def on_gap_writers(self, node: int, page: int, writers) -> None:
-        """The diff_gap > 0 precondition saw multiple same-interval
-        writers of one page (no byte overlap yet — that case raises)."""
-        ws = tuple(sorted(writers))
-        self._violation(
-            "diff-gap-multi-writer",
-            f"home {node} merged diffs for page {page} from writers {list(ws)} "
-            f"within one interval while diff_gap > 0 (documented single-writer "
-            f"precondition of compute_diff)",
-            dedup=(node, page, ws),
-        )

@@ -14,7 +14,7 @@ from repro.dsm import (
     WriteNotice,
     NoticeLog,
 )
-from repro.dsm.states import VALID_TRANSITIONS, IllegalTransition
+from repro.dsm.states import VALID_TRANSITIONS
 from repro.dsm.writenotice import merge_notices
 from repro.dsm.diffs import RUN_HEADER_BYTES
 
@@ -70,29 +70,6 @@ def test_diff_splits_disjoint_runs():
     page[4095] = 2
     diff = compute_diff(twin, page)
     assert [off for off, _ in diff] == [0, 4095]
-
-
-def test_diff_coalesce_gap_merges_close_runs():
-    page = np.zeros(4096, dtype=np.uint8)
-    twin = make_twin(page)
-    page[10] = 1
-    page[14] = 2  # 3 unchanged bytes between the runs
-    assert len(compute_diff(twin, page, coalesce_gap=2)) == 2
-    merged = compute_diff(twin, page, coalesce_gap=3)
-    assert merged == [(10, bytes(page[10:15]))]
-    # the coalesced run round-trips: gap bytes equal the twin's, so
-    # applying it reproduces the writer's copy exactly
-    out = make_twin(twin)
-    apply_diff(out, merged)
-    assert np.array_equal(out, page)
-
-
-def test_diff_coalesce_gap_zero_is_exact():
-    rng = np.random.default_rng(7)
-    page = rng.integers(0, 256, 4096).astype(np.uint8)
-    twin = make_twin(page)
-    page[rng.integers(0, 4096, 64)] += 1
-    assert compute_diff(twin, page) == compute_diff(twin, page, coalesce_gap=0)
 
 
 def test_apply_diff_merges_into_home_copy():

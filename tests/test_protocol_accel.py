@@ -1,5 +1,6 @@
-"""Protocol accelerator: write-notice edge cases, batching x diff_gap,
-update push, fetch read-ahead, and flags-on/off value identity.
+"""Protocol accelerator: write-notice edge cases, update push, the
+flag matrix, CG termination at the sizes that once deadlocked, and
+flags-on/off value identity.
 
 The accelerator (docs/PERFORMANCE.md "Protocol optimizations") changes
 *virtual* time and message counts, never computed values — every A/B test
@@ -8,9 +9,11 @@ moved the way the mechanism promises.
 """
 
 import numpy as np
+import pytest
 
+from repro.apps import cg
 from repro.dsm import SharedArray
-from repro.dsm.config import PARADE_DSM
+from repro.dsm.config import PARADE_ACCEL, PARADE_DSM
 from repro.dsm.writenotice import (
     NoticeLog,
     WriteNotice,
@@ -99,103 +102,6 @@ def test_notices_not_coalesced_across_barrier_epochs():
     assert dsm.node(1).stats.pages_fetched == 3
 
 
-# ----------------------------------------------- batching x diff_gap
-def _three_page_flush(cfg):
-    """Node 1 dirties three pages; the barrier flushes all diffs home."""
-    cluster, _cts, dsm = build_dsm(2, dsm_config=cfg)
-    page_f64 = cluster.config.page_size // 8
-    arr = SharedArray.allocate(dsm, "x", (3 * page_f64,))
-    got = []
-
-    def n0():
-        yield from dsm.node(0).barrier()
-        yield from dsm.node(0).barrier()
-        for p in range(3):
-            v = yield from arr.on(0).get_scalar(p * page_f64)
-            got.append(float(v))
-
-    def n1():
-        for p in range(3):
-            # two writes per page separated by < gap unchanged bytes:
-            # with diff_gap they coalesce into one run per page
-            yield from arr.on(1).set_scalar(p * page_f64, 1.0 + p)
-            yield from arr.on(1).set_scalar(p * page_f64 + 2, 2.0 + p)
-        yield from dsm.node(1).barrier()
-        yield from dsm.node(1).barrier()
-
-    run_all(cluster, [n0(), n1()])
-    return got, dsm
-
-
-def test_batching_with_diff_gap_matches_unbatched():
-    base_cfg = PARADE_DSM.replace(diff_gap=32)
-    got_a, dsm_a = _three_page_flush(base_cfg)
-    got_b, dsm_b = _three_page_flush(base_cfg.replace(batch_notices=True))
-    assert got_a == got_b == [1.0, 2.0, 3.0]
-    # per-page diff accounting is batching-invariant ...
-    assert dsm_b.node(1).stats.diffs_sent == dsm_a.node(1).stats.diffs_sent == 3
-    assert dsm_b.node(1).stats.diff_bytes == dsm_a.node(1).stats.diff_bytes
-    # ... but the three sub-512B diffs coalesced into one dbat frame
-    assert dsm_a.node(1).stats.notices_batched == 0
-    assert dsm_b.node(1).stats.notices_batched == 3
-
-
-def test_batching_skips_diffs_over_size_ceiling():
-    """A whole-page diff exceeds batch_max_bytes and keeps its own frame."""
-    cfg = PARADE_DSM.replace(batch_notices=True, batch_max_bytes=64)
-    cluster, _cts, dsm = build_dsm(2, dsm_config=cfg)
-    page_f64 = cluster.config.page_size // 8
-    arr = SharedArray.allocate(dsm, "x", (2 * page_f64,))
-
-    def n0():
-        yield from dsm.node(0).barrier()
-
-    def n1():
-        # page 0: small diff (joins the batch); page 1: full-page rewrite
-        yield from arr.on(1).set_scalar(0, 1.0)
-        yield from arr.on(1).set(np.arange(float(page_f64)), start=page_f64)
-        yield from dsm.node(1).barrier()
-
-    run_all(cluster, [n0(), n1()])
-    assert dsm.node(1).stats.diffs_sent == 2
-    assert dsm.node(1).stats.notices_batched == 1
-
-
-# --------------------------------------------------- fetch read-ahead
-def test_fetch_readahead_cuts_roundtrips_not_values():
-    def scan(cfg):
-        cluster, _cts, dsm = build_dsm(2, dsm_config=cfg)
-        page_f64 = cluster.config.page_size // 8
-        n_pages = 6
-        arr = SharedArray.allocate(dsm, "x", (n_pages * page_f64,))
-        got = []
-
-        def n0():
-            for p in range(n_pages):
-                yield from arr.on(0).set_scalar(p * page_f64, float(p))
-            yield from dsm.node(0).barrier()
-            yield from dsm.node(0).barrier()
-
-        def n1():
-            yield from dsm.node(1).barrier()
-            for p in range(n_pages):       # sequential scan: p-1 then p
-                v = yield from arr.on(1).get_scalar(p * page_f64)
-                got.append(float(v))
-            yield from dsm.node(1).barrier()
-
-        run_all(cluster, [n0(), n1()])
-        return got, dsm.node(1).stats, cluster.sim.now
-
-    got_off, st_off, vt_off = scan(PARADE_DSM)
-    got_on, st_on, vt_on = scan(PARADE_DSM.replace(fetch_readahead=8))
-    assert got_off == got_on == [float(p) for p in range(6)]
-    assert st_off.readahead_pages == 0 and st_off.pages_fetched == 6
-    # the second fault arms the detector; pages 2..5 arrive as trailers
-    assert st_on.readahead_pages == 4
-    assert st_on.pages_fetched == 2
-    assert vt_on < vt_off
-
-
 # ------------------------------------------------ app-level A/B identity
 def _helmholtz_ab(**accel_kw):
     base = ParadeRuntime(n_nodes=4, pool_bytes=1 << 21)
@@ -218,8 +124,7 @@ def test_accel_values_bit_identical_and_no_slower():
     assert res_acc.value.error == res_base.value.error
     assert res_acc.elapsed <= res_base.elapsed
     # flags-off runs never touch the accelerator counters
-    for key in ("notices_batched", "diffs_piggybacked", "updates_pushed",
-                "updates_installed", "readahead_pages"):
+    for key in ("diffs_piggybacked", "updates_pushed", "updates_installed"):
         assert res_base.dsm_stats.get(key, 0) == 0
     # the accelerated run exercised the push pipeline, and installs
     # cannot exceed pushes (the gap is staleness drops)
@@ -248,12 +153,32 @@ def test_accel_flag_matrix_each_mechanism_value_safe():
 
     ref = run({})
     for kw in (
-        {"batch_notices": True},
         {"lock_piggyback": True},
         {"adaptive_migration": True},
-        {"fetch_readahead": 8},
     ):
         res = run(kw)
         assert np.array_equal(res.value.u, ref.value.u), kw
         assert res.value.error == ref.value.error, kw
         assert res.value.iterations == ref.value.iterations, kw
+
+
+# ------------------------------------------- CG at the deadlock-prone size
+@pytest.fixture(scope="module")
+def cg_s():
+    a = cg.make_matrix("S")
+    return a, cg.cg_reference("S", a=a, niter=1)
+
+
+@pytest.mark.parametrize("hier", [False, True], ids=["accel", "accel+hier"])
+def test_accel_cg_class_s_terminates_with_reference_zeta(cg_s, hier):
+    """CG class S, one outer iteration, 4 nodes: the configuration family
+    in which the removed fetch read-ahead left a fault parked on a frame
+    that never came.  The run must finish well inside its virtual time
+    limit and reproduce the sequential zeta."""
+    a, ref = cg_s
+    rt = ParadeRuntime(
+        n_nodes=4, pool_bytes=1 << 23, dsm_config=PARADE_ACCEL,
+        hierarchical=hier,
+    )
+    res = rt.run(cg.make_program("S", a=a, niter=1), time_limit=2.0)
+    assert abs(res.value.zeta - ref.zeta) <= 1e-10 * abs(ref.zeta)
