@@ -597,20 +597,23 @@ def aggregate_events_per_s(results: Dict[str, Dict[str, float]]) -> float:
 def compute_speedup(
     baseline: Dict[str, Dict[str, float]], current: Dict[str, Dict[str, float]]
 ) -> Dict[str, object]:
-    """Events/sec speedup of *current* over *baseline*, per workload and
-    for the whole basket (total events / total wall)."""
+    """Wall-time speedup of *current* over *baseline*: baseline over
+    current wall seconds per workload, and total over total for the
+    workloads both ran.  Work-invariant: an engine change that simulates
+    the same run in fewer events reads as the wall-time win it is, where
+    an events/s ratio would read it as a slowdown.  ``events`` stays in
+    each record as a work counter."""
     per: Dict[str, float] = {}
     for name, cur in current.items():
         base = baseline.get(name)
-        if base and base.get("events_per_s"):
-            per[name] = cur["events_per_s"] / base["events_per_s"]
+        if base and cur["wall_s"] > 0:
+            per[name] = base["wall_s"] / cur["wall_s"]
     out: Dict[str, object] = {"per_workload": per}
-    base_agg = aggregate_events_per_s(
-        {k: v for k, v in baseline.items() if k in current}
-    )
-    cur_agg = aggregate_events_per_s(current)
-    if base_agg:
-        out["aggregate_events_per_s"] = cur_agg / base_agg
+    shared = [name for name in current if name in baseline]
+    base_wall = sum(baseline[name]["wall_s"] for name in shared)
+    cur_wall = sum(current[name]["wall_s"] for name in shared)
+    if base_wall > 0 and cur_wall > 0:
+        out["aggregate_wall_time"] = base_wall / cur_wall
     return out
 
 
@@ -896,9 +899,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         report.pop("speedup", None)
     elif "baseline" in report:
         report["speedup"] = compute_speedup(report["baseline"]["results"], results)
-        agg = report["speedup"].get("aggregate_events_per_s")
+        agg = report["speedup"].get("aggregate_wall_time")
         if agg:
-            print(f"  basket speedup (events/s): {agg:.2f}x vs baseline")
+            print(f"  basket speedup (wall time): {agg:.2f}x vs baseline")
     write_report(out, report)
     print(f"  aggregate: {aggregate_events_per_s(results):,.0f} events/s")
     return 0

@@ -32,8 +32,9 @@ class Node:
 
     # compute/busy_cpu are the two hottest generators in the simulator
     # (one per CPU burst); Resource.execute is inlined to save a
-    # delegation frame per burst — the event sequence (request grant,
-    # timeout, release) is identical.
+    # delegation frame per burst, with the same events: the grant (none
+    # when request() grants on the spot and ``yield req`` continues
+    # synchronously, see Resource), then one timeout, then release.
     def compute(self, work_units: float, priority: int = 0):
         """Generator: occupy one CPU for *work_units* of application work."""
         # same float expression as config.compute_seconds, but through the

@@ -77,6 +77,8 @@ class Simulator:
         #: the :class:`Process` currently advancing its generator; tracing
         #: uses its label as the emitting track ("thread") name.
         self.active_process = None
+        #: callbacks of the event being processed (see :meth:`wakeup_is_next`)
+        self._callbacks: list = []
 
     # -- factories ----------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -108,6 +110,25 @@ class Simulator:
             t = self._immediate[0][0]
         return t
 
+    def wakeup_is_next(self) -> bool:
+        """Whether a zero-delay event triggered now would be the very next
+        event processed, with nothing run in between.
+
+        That holds when the running process is the only callback of the
+        event being processed, no zero-delay event is queued and no
+        timeout is due at ``now``.  A process that would trigger such an
+        event and then wait on it may instead continue synchronously: the
+        schedule stays the same event for event, minus that wakeup.
+        """
+        heap = self._heap
+        return (
+            self.active_process is not None
+            and len(self._callbacks) == 1
+            and not self._immediate
+            and not self._urgent
+            and not (heap and heap[0][0] <= self.now)
+        )
+
     def step(self) -> None:
         """Process exactly one event."""
         heap = self._heap
@@ -131,6 +152,7 @@ class Simulator:
             t, _prio, _seq, event = src.popleft()
         self.now = t
         callbacks, event.callbacks = event.callbacks, None
+        self._callbacks = callbacks
         self._n_processed += 1
         tr = self.trace
         if tr is not None:
@@ -161,13 +183,22 @@ class Simulator:
         *limit* bounds virtual time as a deadlock guard.
         """
         step = self.step
+        heap = self._heap
         # process.callbacks is None <=> process.processed — checked raw to
         # skip two property dispatches per event in this innermost loop.
         # An empty schedule surfaces as EmptySchedule from step() rather
         # than being pre-checked, keeping the no-limit loop at two
         # attribute loads per event.
         while process.callbacks is not None:
-            if limit is not None and self.peek() > limit:
+            # peek() is at most the heap top, so a heap top within the
+            # limit settles the check without the call; once it is past
+            # the limit (or the heap is empty), pending zero-delay events
+            # at ``now`` still run if ``now`` is within it
+            if (
+                limit is not None
+                and not (heap and heap[0][0] <= limit)
+                and self.peek() > limit
+            ):
                 raise SimulationError(
                     f"virtual time limit {limit} exceeded waiting for {process.label!r}"
                 )

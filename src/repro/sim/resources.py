@@ -18,9 +18,13 @@ class Preempted(SimulationError):
 
 
 class Request(Event):
-    """Grant event for a resource request; fires when capacity is assigned."""
+    """Grant event for a resource request; fires when capacity is assigned.
 
-    __slots__ = ("resource", "priority", "key")
+    An uncontended request can come back already *processed*, granted
+    without an event (see :class:`Resource`).
+    """
+
+    __slots__ = ("resource", "priority", "t_grant")
 
     def __init__(self, resource: "Resource", priority: int):
         # Event.__init__ inlined (with the name precomputed by the
@@ -47,6 +51,16 @@ class Resource:
         cpu.release(req)
 
     or the convenience generator ``yield from cpu.execute(duration)``.
+
+    A free resource with an empty queue is granted at once.  When its
+    grant event would also be the next event the simulator processes
+    (:meth:`Simulator.wakeup_is_next`), the grant costs no event: the
+    returned request is already processed, so ``yield req`` continues
+    the process synchronously and a burst costs one event, its timeout,
+    with the schedule otherwise unchanged.  Otherwise the grant is a
+    zero-delay event, so the requester resumes after the events already
+    due at this instant, as before.  A contended request is queued and
+    granted by an event from :meth:`release`, in (priority, FIFO) order.
     """
 
     def __init__(self, sim, capacity: int = 1, name: str = "resource"):
@@ -61,7 +75,6 @@ class Resource:
         self._seq = itertools.count()
         # statistics
         self.total_busy_time = 0.0
-        self._grant_times: dict = {}
         self.n_grants = 0
 
     # ------------------------------------------------------------------
@@ -76,19 +89,26 @@ class Resource:
 
     def request(self, priority: int = 0) -> Request:
         req = Request(self, priority)
-        if len(self.users) < self.capacity and not self._queue:
-            self._grant(req)
-        else:
+        if len(self.users) >= self.capacity or self._queue:
             heapq.heappush(self._queue, (priority, next(self._seq), req))
+        elif self.sim.wakeup_is_next():
+            # the grant event would be processed next anyway: grant
+            # without it and return the request already processed
+            self.users.add(req)
+            req.t_grant = self.sim.now
+            self.n_grants += 1
+            req._ok = True
+            req._value = req
+            req.callbacks = None
+        else:
+            self._grant(req)
         return req
 
     def release(self, request: Request) -> None:
         if request not in self.users:
             raise SimulationError(f"release of non-held request on {self.name}")
         self.users.discard(request)
-        start = self._grant_times.pop(request, None)
-        if start is not None:
-            self.total_busy_time += self.sim.now - start
+        self.total_busy_time += self.sim.now - request.t_grant
         while self._queue and len(self.users) < self.capacity:
             _, _, req = heapq.heappop(self._queue)
             self._grant(req)
@@ -100,7 +120,7 @@ class Resource:
 
     def _grant(self, req: Request) -> None:
         self.users.add(req)
-        self._grant_times[req] = self.sim.now
+        req.t_grant = self.sim.now
         self.n_grants += 1
         req.succeed(req)
 
@@ -120,6 +140,6 @@ class Resource:
         if self.sim.now <= 0:
             return 0.0
         busy = self.total_busy_time + sum(
-            self.sim.now - t for t in self._grant_times.values()
+            self.sim.now - req.t_grant for req in self.users
         )
         return busy / (self.capacity * self.sim.now)

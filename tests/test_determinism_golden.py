@@ -22,6 +22,7 @@ import pathlib
 from repro.apps import helmholtz
 from repro.runtime import ParadeRuntime
 from repro.trace import TraceRecorder, check_trace
+from repro.trace.events import CAT_COUNTER
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 GOLDEN = GOLDEN_DIR / "determinism_helmholtz_4node.json"
@@ -57,6 +58,13 @@ def _trace_digest(events) -> str:
     return h.hexdigest()
 
 
+def _protocol_trace_digest(events) -> str:
+    """Digest of every non-``counter`` event.  Queue-depth counter samples
+    are taken every ``queue_stride`` *engine* events, so they move when the
+    engine processes fewer events; the protocol stream may not."""
+    return _trace_digest(ev for ev in events if ev.cat != CAT_COUNTER)
+
+
 def _per_node_stats(rt: ParadeRuntime):
     return [dn.stats.as_dict() for dn in rt.dsm.nodes]
 
@@ -77,6 +85,7 @@ def _snapshot() -> dict:
         "barrier_epochs": [dn._barrier_epoch for dn in rt.dsm.nodes],
         "n_trace_events": rec.n_emitted,
         "trace_digest": _trace_digest(rec.events),
+        "protocol_trace_digest": _protocol_trace_digest(rec.events),
         "value_digest": hashlib.sha256(
             json.dumps(res.value, sort_keys=True, default=repr).encode()
         ).hexdigest(),
@@ -120,6 +129,7 @@ def test_trace_stream_matches_golden_and_passes_replay_check():
     _, _, rec = _run(traced=True)
     report = check_trace(rec.events)
     assert report.ok, report.summary()
+    assert _protocol_trace_digest(rec.events) == golden["protocol_trace_digest"]
     assert rec.n_emitted == golden["n_trace_events"]
     assert _trace_digest(rec.events) == golden["trace_digest"]
 

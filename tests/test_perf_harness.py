@@ -36,7 +36,7 @@ def test_current_section_computes_speedup(tmp_path):
     # results are run invariants), speedup is host noise around 1.0
     for name, cur in report["current"]["results"].items():
         assert cur["events"] == report["baseline"]["results"][name]["events"]
-    agg = report["speedup"]["aggregate_events_per_s"]
+    agg = report["speedup"]["aggregate_wall_time"]
     assert 0.2 < agg < 5.0
 
 
@@ -88,8 +88,20 @@ def test_phase_breakdown_recorded_and_deterministic():
 
 
 def test_compute_speedup_math():
-    base = {"a": {"wall_s": 2.0, "events": 100, "events_per_s": 50.0}}
-    cur = {"a": {"wall_s": 1.0, "events": 100, "events_per_s": 100.0}}
+    base = {"a": {"wall_s": 2.0, "events": 100, "events_per_s": 50.0},
+            "b": {"wall_s": 1.0, "events": 10, "events_per_s": 10.0}}
+    cur = {"a": {"wall_s": 1.0, "events": 100, "events_per_s": 100.0},
+           "b": {"wall_s": 1.0, "events": 10, "events_per_s": 10.0}}
     out = perf.compute_speedup(base, cur)
-    assert out["per_workload"]["a"] == 2.0
-    assert out["aggregate_events_per_s"] == 2.0
+    assert out["per_workload"] == {"a": 2.0, "b": 1.0}
+    assert out["aggregate_wall_time"] == 1.5
+
+
+def test_compute_speedup_is_work_invariant():
+    """Half the events in two thirds of the wall time is a 1.5x speedup,
+    though events/s fell to 0.75x of the baseline."""
+    base = {"a": {"wall_s": 3.0, "events": 100, "events_per_s": 100 / 3.0}}
+    cur = {"a": {"wall_s": 2.0, "events": 50, "events_per_s": 25.0}}
+    out = perf.compute_speedup(base, cur)
+    assert out["per_workload"]["a"] == 1.5
+    assert out["aggregate_wall_time"] == 1.5

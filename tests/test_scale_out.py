@@ -33,6 +33,7 @@ from repro.chaos import plan_by_name
 from repro.cluster.network import Message
 from repro.runtime import ParadeRuntime
 from repro.trace import TraceRecorder, check_trace
+from repro.trace.events import CAT_COUNTER
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -74,6 +75,12 @@ def _trace_digest(events) -> str:
     return h.hexdigest()
 
 
+def _protocol_trace_digest(events) -> str:
+    """Digest of every non-``counter`` event (queue-depth samples follow
+    the engine's event count, the protocol stream may not move)."""
+    return _trace_digest(ev for ev in events if ev.cat != CAT_COUNTER)
+
+
 # ----------------------------------------------------------------------
 # 16-node hierarchical goldens
 # ----------------------------------------------------------------------
@@ -93,6 +100,7 @@ def _snapshot(name) -> dict:
         "barrier_epochs": [dn._barrier_epoch for dn in rt.dsm.nodes],
         "n_trace_events": rec.n_emitted,
         "trace_digest": _trace_digest(rec.events),
+        "protocol_trace_digest": _protocol_trace_digest(rec.events),
         "value_digest": _value_digest(res),
     }
 
@@ -117,6 +125,7 @@ def test_16node_hier_run_matches_golden(name):
     assert int(res.cluster_stats["total_bytes"]) == golden["total_bytes"]
     assert res.dsm_stats == golden["dsm_stats"]
     assert [dn._barrier_epoch for dn in rt.dsm.nodes] == golden["barrier_epochs"]
+    assert _protocol_trace_digest(rec.events) == golden["protocol_trace_digest"]
     assert rec.n_emitted == golden["n_trace_events"]
     assert _trace_digest(rec.events) == golden["trace_digest"]
     assert _value_digest(res) == golden["value_digest"]

@@ -223,6 +223,54 @@ def test_run_until_complete_time_limit(sim):
         sim.run_until_complete(p, limit=10)
 
 
+def test_time_limit_lets_pending_zero_delay_events_run(sim):
+    """The heap top is past the limit while zero-delay events are still
+    queued at ``now``: those run first, then the limit trips."""
+    hops = []
+
+    def sleeper():
+        yield sim.timeout(5)
+        yield sim.timeout(100)
+
+    def hopper():
+        yield sim.timeout(5)
+        for _ in range(3):
+            ev = sim.event()
+            ev.succeed()
+            yield ev
+            hops.append(sim.now)
+
+    p = sim.process(sleeper())
+    sim.process(hopper())
+    with pytest.raises(SimulationError, match="limit"):
+        sim.run_until_complete(p, limit=10)
+    assert hops == [5, 5, 5]
+    assert sim.now == 5
+
+
+def test_time_limit_edges_match_peek(sim):
+    def proc(delay):
+        yield sim.timeout(delay)
+        return delay
+
+    # an event exactly at the limit still runs
+    assert sim.run_until_complete(sim.process(proc(10)), limit=10) == 10
+    # ``now`` already past the limit with only zero-delay work pending
+    sim.timeout(10)
+    sim.run()
+    assert sim.now == 20
+    with pytest.raises(SimulationError, match="limit"):
+        sim.run_until_complete(sim.process(proc(1)), limit=15)
+    # an empty schedule under an infinite limit is a deadlock, not a breach
+    other = Simulator()
+    with pytest.raises(SimulationError, match="deadlock"):
+        other.run_until_complete(other.process(_wait_forever(other)), limit=float("inf"))
+
+
+def _wait_forever(sim):
+    yield sim.event()
+
+
 def test_allof_gathers_values(sim):
     def proc(i):
         yield sim.timeout(i)

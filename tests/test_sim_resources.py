@@ -128,6 +128,232 @@ def test_resource_cancel_queued_request(sim):
     assert granted == [False]
 
 
+# ---------------------------------------------------- eventless grants
+def test_uncontended_request_returns_processed(sim):
+    res = Resource(sim, capacity=1)
+    seen = []
+
+    def proc():
+        req = res.request()
+        seen.append((req.processed, req.ok, req.value is req, res.count))
+        yield req
+        res.release(req)
+
+    sim.process(proc())
+    sim.run()
+    assert seen == [(True, True, True, 1)]
+    assert res.n_grants == 1
+
+
+def test_request_outside_a_process_is_granted_by_event(sim):
+    res = Resource(sim, capacity=1)
+    req = res.request()
+    assert req.triggered and not req.processed
+    assert res.count == 1
+    sim.run()
+    assert req.processed and sim.events_processed == 1
+
+
+def test_yield_uncontended_request_adds_no_event(sim):
+    res = Resource(sim, capacity=1)
+    deltas = []
+
+    def proc():
+        yield sim.timeout(1)
+        before = sim.events_processed
+        req = res.request()
+        yield req
+        deltas.append((sim.events_processed - before, sim.now))
+        res.release(req)
+
+    sim.process(proc())
+    sim.run()
+    assert deltas == [(0, 1)]
+
+
+def test_two_uncontended_compute_bursts_cost_two_events(sim):
+    from repro.cluster.config import ClusterConfig
+    from repro.cluster.node import Node
+
+    node = Node(sim, 0, ClusterConfig(n_nodes=1))
+    out = []
+
+    def proc():
+        before = sim.events_processed
+        yield from node.compute(100)
+        yield from node.compute(100)
+        out.append(sim.events_processed - before)
+
+    sim.process(proc())
+    sim.run()
+    assert out == [2]
+    assert node.cpus.n_grants == 2 and node.cpus.count == 0
+
+
+def test_contended_requests_granted_by_event_in_priority_fifo_order(sim):
+    res = Resource(sim, capacity=1)
+    held = res.request()
+    queued = [res.request(priority=p) for p in (3, 1, 3, 1)]
+    assert not any(req.triggered for req in queued)
+    order = []
+    for i, req in enumerate(queued):
+        req.add_callback(lambda ev, i=i: order.append(i))
+    res.release(held)
+    # the winner is triggered (queued as an event), not yet processed
+    assert queued[1].triggered and not queued[1].processed
+    assert res.count == 1
+    while queued[1].callbacks is not None:
+        sim.step()
+    for _ in range(3):
+        res.release(next(iter(res.users)))
+        sim.run()
+    assert order == [1, 3, 0, 2]
+    assert res.n_grants == 5
+
+
+def _finish_order(case: str):
+    """Two 1 s bursts that end at the same instant; which ends first
+    depends on the order in which their timeouts were created, i.e. on
+    when each requester resumed after its grant."""
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    done = []
+
+    def burst(label, req):
+        yield req
+        yield sim.timeout(1.0)
+        res.release(req)
+        done.append(label)
+
+    if case == "contended-grant-pending":
+        # at t=1 a release grants C by event; H then finds a free slot
+        def holder(label, again):
+            req = res.request()
+            yield req
+            yield sim.timeout(1.0)
+            res.release(req)
+            if again:
+                yield from burst(label, res.request())
+
+        def late():
+            yield sim.timeout(0.5)
+            yield from burst("C", res.request())
+
+        sim.process(holder("K", False))
+        sim.process(holder("H", True))
+        sim.process(late())
+    elif case == "timeout-due-now":
+        # A requests at t=1 while B's timeout is still due at t=1
+        def a():
+            yield sim.timeout(1.0)
+            yield from burst("A", res.request())
+
+        def b():
+            yield sim.timeout(1.0)
+            yield sim.timeout(1.0)
+            done.append("B")
+
+        sim.process(a())
+        sim.process(b())
+    elif case == "process-started":
+        # S starts W (an URGENT start event), then requests
+        def w():
+            yield sim.timeout(1.0)
+            done.append("W")
+
+        def s():
+            sim.process(w())
+            yield from burst("S", res.request())
+
+        sim.process(s())
+    else:  # "shared-wakeup": P and Q wait on one event; P runs first
+        ev = sim.event()
+
+        def p():
+            yield ev
+            yield from burst("P", res.request())
+
+        def q():
+            yield ev
+            yield sim.timeout(1.0)
+            done.append("Q")
+
+        def trigger():
+            yield sim.timeout(1.0)
+            ev.succeed()
+
+        sim.process(p())
+        sim.process(q())
+        sim.process(trigger())
+    sim.run()
+    return done
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    [
+        ("contended-grant-pending", ["C", "H"]),
+        ("timeout-due-now", ["B", "A"]),
+        ("shared-wakeup", ["Q", "P"]),
+        ("process-started", ["W", "S"]),
+    ],
+)
+def test_grant_keeps_evented_order_when_others_are_due(case, want):
+    """When other work is due at the same instant, the grant stays an
+    event, so the requester resumes after it exactly as before: same-time
+    burst ends keep their order."""
+    assert _finish_order(case) == want
+
+
+def test_accounting_unchanged_on_scripted_schedule(sim):
+    """Busy time, utilisation, grant and holder counts on a mixed
+    contended/uncontended schedule (capacity 2, three holders)."""
+    res = Resource(sim, capacity=2)
+    snap = {}
+
+    def holder(start, hold):
+        yield sim.timeout(start)
+        req = res.request()
+        yield req
+        yield sim.timeout(hold)
+        res.release(req)
+
+    def probe():
+        yield sim.timeout(2.5)
+        snap.update(count=res.count, util=res.utilization_until_now,
+                    busy=res.total_busy_time, queue=res.queue_length)
+
+    sim.process(holder(0.0, 3.0))   # [0, 3]
+    sim.process(holder(1.0, 1.0))   # [1, 2]
+    sim.process(holder(1.5, 2.0))   # queued at 1.5, granted at 2 -> [2, 4]
+    sim.process(probe())
+    sim.run()
+    # at 2.5: B's 1 s closed, A open for 2.5 s, C open for 0.5 s
+    assert snap == {"count": 2, "util": 0.8, "busy": 1.0, "queue": 0}
+    assert res.total_busy_time == 6.0
+    assert res.utilization_until_now == 0.75
+    assert res.n_grants == 3 and res.count == 0
+
+
+def test_mutex_counts_unchanged_on_scripted_schedule(sim):
+    mtx = Mutex(sim)
+    got = []
+
+    def worker(i, start):
+        yield sim.timeout(start)
+        yield from mtx.acquire()
+        got.append((i, sim.now))
+        yield sim.timeout(1.0)
+        mtx.release()
+
+    for i, start in enumerate((0.0, 0.5, 3.0)):
+        sim.process(worker(i, start))
+    sim.run()
+    assert got == [(0, 0.0), (1, 1.0), (2, 3.0)]
+    assert mtx.n_acquisitions == 3 and mtx.n_contended == 1
+    assert not mtx.locked
+
+
 # ---------------------------------------------------------------- Store
 def test_store_fifo_order(sim):
     box = Store(sim)
