@@ -30,17 +30,17 @@ bench-smoke:     ## perf harness on the tiny basket (regression check)
 bench-gate:      ## accel basket vs checked-in baseline; fails on >5% virtual-time regression
 	python -m repro.bench.perf --gate $(JOBS_FLAG)
 
-scale-smoke:     ## 16-node mini-basket, flat vs tree barrier + sharded locks
+scale-smoke:     ## 16-node mini-basket, flat vs tree barrier
 	python -m repro.bench.perf --scale --smoke --scale-nodes 16 --out BENCH_smoke.json $(JOBS_FLAG)
 
 fleet-smoke:     ## fleet executor contracts: worker bit-identity, warm cache, poisoned digest
 	python -m repro.fleet --selfcheck $(JOBS_FLAG)
 
 profile-smoke:   ## virtual-time profiler invariant check on one workload
-	python -m repro.profile helmholtz --check
+	python -m repro run helmholtz --profile --check
 
 chaos-smoke:     ## fault-injection sweep: bit-identical recovery on a small matrix
-	python -m repro.chaos --sweep --nodes 2 --apps helmholtz --plans drop,dup $(JOBS_FLAG)
+	python -m repro sweep --nodes 2 --apps helmholtz --plans drop,dup $(JOBS_FLAG)
 
 metrics-smoke:   ## watchdog self-check + metered bit-identity + export round-trip
 	python -m repro.metrics smoke $(JOBS_FLAG)

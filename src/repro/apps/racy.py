@@ -4,8 +4,8 @@ Each program plants one deliberate, well-understood data race — the kind
 of bug the DSM runtime silently tolerates (last writer wins at the home,
 stale reads survive until the next consistency point) but that corrupts
 results nondeterministically on a real cluster.  The sanitizer must flag
-every one of them with both access sites named; ``python -m
-repro.sanitizer --racy`` runs them as a self-check.
+every one of them with both access sites named; ``python -m repro run
+racy-ww --sanitize --expect-races`` runs one as a self-check.
 
 These programs are intentionally *non-conforming* OpenMP: they touch
 shared data from multiple threads between barriers without ordering.
@@ -88,23 +88,15 @@ def make_missing_barrier(n: int = 64):
 def racy_programs() -> Dict[str, dict]:
     """Registry of seeded-racy workloads (same shape as
     :func:`repro.bench.figures.registered_programs`)."""
+    from repro.fleet.spec import make_entry
+
+    def entry(fn: str, note: str) -> dict:
+        return make_entry(("repro.apps.racy", fn), {}, pool_bytes=1 << 20,
+                          note=note, figure="-")
+
     return {
-        "racy-ww": {
-            "factory": lambda: make_write_write(),
-            "pool_bytes": 1 << 20,
-            "figure": "-",
-            "note": "seeded write/write race on one page",
-        },
-        "racy-rw": {
-            "factory": lambda: make_read_write(),
-            "pool_bytes": 1 << 20,
-            "figure": "-",
-            "note": "seeded read/write race (stale read)",
-        },
-        "racy-nobar": {
-            "factory": lambda: make_missing_barrier(),
-            "pool_bytes": 1 << 20,
-            "figure": "-",
-            "note": "missing barrier between write and read phases",
-        },
+        "racy-ww": entry("make_write_write", "seeded write/write race on one page"),
+        "racy-rw": entry("make_read_write", "seeded read/write race (stale read)"),
+        "racy-nobar": entry("make_missing_barrier",
+                            "missing barrier between write and read phases"),
     }

@@ -34,9 +34,8 @@ def registered_programs() -> Dict[str, dict]:
     for interactive runs.  ``factory`` is the in-process callable;
     ``factory_ref`` + ``factory_kwargs`` are the serializable form the
     fleet executor ships to worker processes
-    (:meth:`repro.fleet.RunSpec.from_entry`).  Consumed by the tracing
-    CLI (``python -m repro.trace``), the chaos sweep, the sanitizer
-    sweep, and the fleet; the full-size figure sweeps remain the
+    (:meth:`repro.fleet.RunSpec.from_entry`).  Consumed by
+    ``python -m repro run`` / ``sweep`` and the fleet; the full-size figure sweeps remain the
     ``figN_*`` functions above.
     """
     from repro.fleet.spec import make_entry

@@ -4,8 +4,9 @@ Attach a :class:`ChaosEngine` built from a :class:`FaultPlan` to a run and
 the network starts losing, duplicating, reordering, delaying and mangling
 frames — while an ack/retransmit layer recovers every one of them, so the
 program's numerical results stay bit-identical to the fault-free run.
-``python -m repro.chaos --sweep`` asserts exactly that over the registered
-workloads.  See docs/RELIABILITY.md for the fault model and guarantees.
+``python -m repro sweep --plans ...`` asserts exactly that over the
+registered workloads.  See docs/RELIABILITY.md for the fault model and
+guarantees.
 """
 
 from repro.chaos.plan import (
@@ -20,7 +21,6 @@ from repro.chaos.plan import (
     PLANS,
     REORDER,
     SLOW_NODE,
-    SWEEP_PLAN_NAMES,
     CommStall,
     FaultPlan,
     LinkFault,
@@ -42,7 +42,6 @@ __all__ = [
     "NodeSlowdown",
     "ReliabilityConfig",
     "PLANS",
-    "SWEEP_PLAN_NAMES",
     "plan_by_name",
     "CLEAN",
     "DROP",

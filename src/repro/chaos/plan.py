@@ -216,7 +216,7 @@ LOSSY_MIX = FaultPlan(
     ),
 )
 
-#: name -> plan; the CLI's --plan/--plans and the sweep draw from here.
+#: name -> plan; `python -m repro run --chaos` and `sweep --plans` draw from here.
 PLANS: Dict[str, FaultPlan] = {
     p.name: p
     for p in (
@@ -224,11 +224,6 @@ PLANS: Dict[str, FaultPlan] = {
         FLAP, SLOW_NODE, COMM_STALL, LOSSY_MIX,
     )
 }
-
-#: the default --sweep matrix (acceptance gate: results bit-identical to
-#: the fault-free run under each of these)
-SWEEP_PLAN_NAMES: Tuple[str, ...] = ("drop", "dup", "reorder", "latency-spike")
-
 
 def plan_by_name(name: str) -> FaultPlan:
     """Look up a stock plan by (case-insensitive) name."""

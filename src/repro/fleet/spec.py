@@ -142,9 +142,9 @@ def build_runtime(spec: RunSpec, observe: bool = False):
 
 
 def value_digest(value) -> str:
-    """SHA-256 over the canonical JSON form of a program result (the
-    same canonicalisation the chaos gate and the scale sweep use, so
-    digests are comparable across drivers)."""
+    """SHA-256 over the canonical JSON form of a program result; every
+    driver (``python -m repro run`` / ``sweep``, the scale sweep) compares
+    results through it."""
     canon = json.dumps(value, sort_keys=True, default=repr)
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -170,24 +170,10 @@ def _trace_digest(events) -> str:
     return h.hexdigest()
 
 
-def _single_run(spec: RunSpec, observe: bool) -> Dict:
-    """One simulation run; returns the full record (observer sections
-    included only when *observe*)."""
-    rt = build_runtime(spec, observe=observe)
-    rec = prof = None
-    if observe and spec.trace:
-        from repro.trace import TraceRecorder
-
-        rec = TraceRecorder(rt.sim, capacity=1 << 18, queue_stride=64)
-    if observe and spec.profile:
-        from repro.profile import Profiler
-
-        prof = Profiler(rt.sim, record_intervals=False)
-    factory = resolve_factory(spec.factory, spec.factory_kwargs)
-    t0 = time.perf_counter()
-    res = rt.run(factory())
-    wall = time.perf_counter() - t0
-
+def run_record(spec: RunSpec, rt, res, wall: float) -> Dict:
+    """The observer-free part of a run record: what *spec* produced on
+    runtime *rt* (result *res*, *wall* host seconds).  The fleet and
+    ``python -m repro run`` both build their records here."""
     out: Dict[str, object] = {
         "ok": True,
         "workload": spec.workload,
@@ -219,6 +205,26 @@ def _single_run(spec: RunSpec, observe: bool) -> Dict:
                 f"[{f.kind} @t={f.time:.6g}] {f.message}" for f in san.findings[:50]
             ],
         }
+    return out
+
+
+def _single_run(spec: RunSpec, observe: bool) -> Dict:
+    """One simulation run; returns the full record (observer sections
+    included only when *observe*)."""
+    rt = build_runtime(spec, observe=observe)
+    rec = prof = None
+    if observe and spec.trace:
+        from repro.trace import TraceRecorder
+
+        rec = TraceRecorder(rt.sim, capacity=1 << 18, queue_stride=64)
+    if observe and spec.profile:
+        from repro.profile import Profiler
+
+        prof = Profiler(rt.sim, record_intervals=False)
+    factory = resolve_factory(spec.factory, spec.factory_kwargs)
+    t0 = time.perf_counter()
+    res = rt.run(factory())
+    out = run_record(spec, rt, res, time.perf_counter() - t0)
     if prof is not None:
         from repro.profile.phases import PH_BARRIER, PH_LOCK_WAIT
 

@@ -4,8 +4,9 @@ The subsystem attaches to a running simulation as ``sim.metrics`` with
 the same zero-cost-when-detached contract as ``trace`` / ``san`` /
 ``prof`` / ``chaos``, samples every layer on a deterministic
 virtual-time grid, and exposes the result as Prometheus text, JSON
-time-series, CSV, or Chrome counter tracks.  ``python -m repro.metrics``
-adds per-workload scorecards and the noise-aware bench watchdog.
+time-series, CSV, or Chrome counter tracks.  ``python -m repro run <app>
+--metrics`` prints the workload scorecard; ``python -m repro.metrics``
+adds the exports and the noise-aware bench watchdog.
 See ``docs/METRICS.md`` for the guide.
 """
 
@@ -26,7 +27,7 @@ from repro.metrics.sampler import (
     Metrics,
 )
 from repro.metrics.sources import install_default_sources
-from repro.metrics.scorecard import build_scorecard, meter_workload, render_scorecards
+from repro.metrics.scorecard import build_scorecard, render_scorecards
 from repro.metrics.regress import compare_sections, selfcheck
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "BARRIER_EPOCH",
     "install_default_sources",
     "build_scorecard",
-    "meter_workload",
     "render_scorecards",
     "compare_sections",
     "selfcheck",

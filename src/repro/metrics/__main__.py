@@ -1,17 +1,14 @@
-"""Metrics CLI: scorecards, exposition formats, and the bench watchdog.
+"""Metrics CLI: exposition formats and the bench watchdog.
 
 Usage::
 
-    python -m repro.metrics run                      # helmholtz scorecard
-    python -m repro.metrics run helmholtz cg --nodes 2
-    python -m repro.metrics run cg --json cg.metrics.json
+    python -m repro run cg --metrics --json cg.metrics.json     # scorecard + dump
     python -m repro.metrics export cg.metrics.json               # Prometheus
     python -m repro.metrics export cg.metrics.json --csv cg.csv --chrome cg.trace.json
     python -m repro.metrics regress                  # BENCH_parade.json watchdog
     python -m repro.metrics regress --strict --wall-tol 0.2
     python -m repro.metrics smoke                    # CI gate (see below)
 
-``run`` meters registered workloads and prints one scorecard row each;
 ``export`` re-emits a JSON dump as Prometheus text / CSV / Chrome
 counters; ``regress`` diffs two sections of the perf report with
 noise-aware tolerances and exits 1 on regression; ``smoke`` is the CI
@@ -28,7 +25,6 @@ from typing import List, Optional
 
 from repro.metrics import export as mexport
 from repro.metrics import regress as mregress
-from repro.metrics.scorecard import build_scorecard, meter_workload, render_scorecards
 
 DEFAULT_REPORT = "BENCH_parade.json"
 
@@ -36,31 +32,13 @@ DEFAULT_REPORT = "BENCH_parade.json"
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.metrics",
-        description="live metrics: per-workload scorecards, Prometheus/JSON/"
-        "CSV/Chrome exposition, and the noise-aware bench watchdog",
+        description="live metrics: Prometheus/JSON/CSV/Chrome exposition and "
+        "the noise-aware bench watchdog",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p_run = sub.add_parser("run", help="meter registered workloads, print scorecards")
-    p_run.add_argument("apps", nargs="*", default=[], help="workload names (default: helmholtz)")
-    p_run.add_argument("--list", action="store_true", help="list registered workloads and exit")
-    p_run.add_argument("--nodes", type=int, default=4, help="cluster size (default 4)")
-    p_run.add_argument(
-        "--mode", choices=("parade", "sdsm"), default="parade",
-        help="hybrid ParADE translation or conventional SDSM (default parade)",
-    )
-    p_run.add_argument(
-        "--period", type=float, default=1e-4,
-        help="sampling grid spacing in virtual seconds (default 1e-4)",
-    )
-    p_run.add_argument(
-        "--json", default=None,
-        help="write the metrics dump (time-series + instruments) as JSON; "
-        "single workload only",
-    )
-
     p_exp = sub.add_parser("export", help="re-emit a JSON metrics dump")
-    p_exp.add_argument("dump", help="metrics dump written by `run --json`")
+    p_exp.add_argument("dump", help="metrics dump written by `python -m repro run --metrics --json`")
     p_exp.add_argument("--prom", default=None, help="write Prometheus text here (default: stdout)")
     p_exp.add_argument("--csv", default=None, help="write series,time,value CSV")
     p_exp.add_argument("--chrome", default=None, help='write ph:"C" counter Chrome trace')
@@ -96,45 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "env or cpu count); the verdict is bit-identical for any value",
     )
     return parser
-
-
-def _cmd_run(args) -> int:
-    from repro.bench.figures import registered_programs
-
-    registry = registered_programs()
-    if args.list:
-        for name, entry in sorted(registry.items()):
-            print(f"{name:<12} {entry['figure']:<6} {entry['note']}")
-        return 0
-    apps = args.apps or ["helmholtz"]
-    unknown = [a for a in apps if a not in registry]
-    if unknown:
-        print(f"unknown app(s) {', '.join(unknown)}; registered: "
-              f"{', '.join(sorted(registry))}", file=sys.stderr)
-        return 1
-    if args.json and len(apps) != 1:
-        print("--json needs exactly one workload", file=sys.stderr)
-        return 1
-
-    import time
-
-    cards = []
-    for app in apps:
-        entry = registry[app]
-        t0 = time.perf_counter()
-        result, mx = meter_workload(
-            entry["factory"], entry["pool_bytes"],
-            n_nodes=args.nodes, period=args.period, mode=args.mode,
-        )
-        wall = time.perf_counter() - t0
-        cards.append(build_scorecard(app, result, mx, wall_s=wall))
-        if args.json:
-            dump = mx.dump(meta={"app": app, "nodes": args.nodes,
-                                 "mode": args.mode, "wall_s": wall})
-            mexport.write_dump(dump, args.json)
-            print(f"json : {len(dump['series'])} series -> {args.json}")
-    print(render_scorecards(cards), end="")
-    return 0
 
 
 def _cmd_export(args) -> int:
@@ -282,7 +221,6 @@ def _cmd_smoke(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     return {
-        "run": _cmd_run,
         "export": _cmd_export,
         "regress": _cmd_regress,
         "smoke": _cmd_smoke,

@@ -56,7 +56,7 @@ def build_scorecard(name: str, result, mx: Metrics, wall_s: Optional[float] = No
 
 
 def render_scorecards(cards: List[Dict]) -> str:
-    """The ``python -m repro.metrics run`` table."""
+    """The ``python -m repro run --metrics`` table."""
     headers = [
         "workload", "vt(ms)", "events", "msgs", "faults",
         "lock p50(us)", "lock p99(us)", "bar p50(us)", "bar p99(us)",
@@ -79,29 +79,3 @@ def render_scorecards(cards: List[Dict]) -> str:
             c["samples"],
         ])
     return "\n".join(render_table(headers, rows, align="<")) + "\n"
-
-
-def meter_workload(
-    factory,
-    pool_bytes: int,
-    n_nodes: int = 4,
-    period: float = 1e-4,
-    mode: str = "parade",
-    **runtime_kwargs,
-):
-    """Run ``factory()`` under a metered runtime; returns
-    ``(RunResult, Metrics)``.  The helper the CLI and the smoke gate
-    share — metrics ride along, so virtual results are bit-identical to
-    an unmetered run."""
-    from repro.runtime import ParadeRuntime
-
-    rt = ParadeRuntime(
-        n_nodes=n_nodes,
-        mode=mode,
-        pool_bytes=pool_bytes,
-        metrics=True,
-        metrics_period=period,
-        **runtime_kwargs,
-    )
-    result = rt.run(factory())
-    return result, rt.metrics

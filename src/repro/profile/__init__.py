@@ -10,7 +10,7 @@ detached, like ``Simulator.trace``), then snapshot a
     report = ProfileReport.from_profiler(prof)
     print(report.render())
 
-CLI: ``python -m repro.profile <app>`` — see :mod:`repro.profile.__main__`.
+CLI: ``python -m repro run <app> --profile`` — see :mod:`repro.__main__`.
 """
 
 from repro.profile.phases import (  # noqa: F401

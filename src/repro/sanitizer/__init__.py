@@ -3,8 +3,8 @@
 Attach a :class:`Sanitizer` to a simulator (or pass ``sanitize=True`` /
 ``DsmConfig(sanitize=True)`` to :class:`~repro.runtime.ParadeRuntime`) to
 get vector-clock data-race detection over every DSM access plus live
-protocol-invariant checking.  ``python -m repro.sanitizer <app>`` runs a
-registered workload under the sanitizer; see ``docs/SANITIZER.md``.
+protocol-invariant checking.  ``python -m repro run <app> --sanitize``
+runs a registered workload under the sanitizer; see ``docs/SANITIZER.md``.
 """
 
 from repro.sanitizer.clocks import VectorClock, ordered_before, vc_copy, vc_join

@@ -20,8 +20,8 @@ much; this package says *when* and *why*:
   page-state machine (:data:`repro.dsm.states.VALID_TRANSITIONS`) and the
   barrier-epoch protocol, turning any traced run into a protocol
   correctness test.
-* ``python -m repro.trace`` — run any registered app with tracing on and
-  write the exports (see :mod:`repro.trace.__main__`).
+* ``python -m repro run <app> --trace OUT`` — run any registered app with
+  tracing on and write the exports (see :mod:`repro.__main__`).
 
 Recording never yields to the simulator and never reads anything but
 ``sim.now``, so enabling tracing cannot perturb virtual time: a traced

@@ -17,7 +17,7 @@ specification and reports violations:
   a different epoch, so epochs before the latest first-seen one are not
   compared).
 
-Run it over any traced run (the ``python -m repro.trace`` CLI does so by
+Run it over any traced run (``python -m repro run --trace`` does so by
 default); an empty violation list is a protocol-correctness pass.
 """
 

@@ -1,7 +1,8 @@
 """Trace diff: align two recorded runs and report where they diverge.
 
 The ROADMAP's trace follow-up: compare, event by event, two JSONL traces
-(written with ``python -m repro.trace <app> --jsonl run.jsonl``) — e.g.
+(written with ``python -m repro run <app> --trace OUT --jsonl run.jsonl``
+and compared with ``python -m repro diff A.jsonl B.jsonl``) — e.g.
 the parade and sdsm translations of one program, or two runs that should
 be deterministic replicas.  The report has two parts:
 
@@ -144,25 +145,3 @@ def diff_traces(a: List[TraceEvent], b: List[TraceEvent]) -> TraceDiff:
     tally(a, 0)
     tally(b, 1)
     return result
-
-
-def main_diff(argv: List[str]) -> int:
-    """Entry point for ``python -m repro.trace diff A.jsonl B.jsonl``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.trace diff",
-        description="align two JSONL traces event-by-event: report the first "
-        "divergence and per-event-type count/byte deltas",
-    )
-    parser.add_argument("a", help="first trace (JSONL, from --jsonl)")
-    parser.add_argument("b", help="second trace (JSONL)")
-    args = parser.parse_args(argv)
-
-    from repro.trace.export import read_jsonl
-
-    ev_a = read_jsonl(args.a)
-    ev_b = read_jsonl(args.b)
-    result = diff_traces(ev_a, ev_b)
-    print(result.summary(label_a=args.a, label_b=args.b))
-    return 0 if result.identical else 1

@@ -160,7 +160,7 @@ def write_chrome_json(events: Iterable[TraceEvent], path: str, label: str = "rep
 
 def write_jsonl(events: Iterable[TraceEvent], path: str) -> int:
     """One JSON object per line (:meth:`TraceEvent.as_dict`); the input
-    format of ``python -m repro.trace diff``.  Returns the line count."""
+    format of ``python -m repro diff``.  Returns the line count."""
     n = 0
     with open(path, "w") as fh:
         for ev in events:

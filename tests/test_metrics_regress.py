@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.metrics import regress
 from repro.metrics.__main__ import main as metrics_main
 
@@ -157,8 +158,8 @@ def test_cli_regress_strict_flag(tmp_path):
 
 def test_cli_run_and_export_round_trip(tmp_path, capsys):
     dump_path = tmp_path / "hh.metrics.json"
-    assert metrics_main([
-        "run", "helmholtz", "--nodes", "2", "--json", str(dump_path),
+    assert main([
+        "run", "helmholtz", "--nodes", "2", "--metrics", "--json", str(dump_path),
     ]) == 0
     out = capsys.readouterr().out
     assert "helmholtz" in out and "vt(ms)" in out
@@ -177,7 +178,7 @@ def test_cli_run_and_export_round_trip(tmp_path, capsys):
 
 
 def test_cli_run_rejects_unknown_app(capsys):
-    assert metrics_main(["run", "no-such-app"]) == 1
+    assert main(["run", "no-such-app", "--metrics"]) == 1
 
 
 def test_cli_smoke_gate():

@@ -1,14 +1,14 @@
-"""End-to-end tests for ``python -m repro.profile``."""
+"""End-to-end tests for ``python -m repro run --profile``."""
 
 from __future__ import annotations
 
 import json
 
-from repro.profile.__main__ import main
+from repro.__main__ import main
 
 
 def test_cli_text_report_and_check(capsys):
-    rc = main(["helmholtz", "--nodes", "2", "--check"])
+    rc = main(["run", "helmholtz", "--nodes", "2", "--profile", "--check"])
     assert rc == 0
     out = capsys.readouterr().out
     # per-thread phase table, group rollup, critical path with what-ifs,
@@ -23,7 +23,7 @@ def test_cli_text_report_and_check(capsys):
 
 def test_cli_json_round_trips(tmp_path):
     out = tmp_path / "report.json"
-    rc = main(["helmholtz", "--nodes", "2", "--json", str(out)])
+    rc = main(["run", "helmholtz", "--nodes", "2", "--profile", "--json", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
     assert data["meta"]["app"] == "helmholtz"
@@ -40,7 +40,7 @@ def test_cli_json_round_trips(tmp_path):
 
 def test_cli_chrome_export(tmp_path):
     out = tmp_path / "prof.json"
-    rc = main(["helmholtz", "--nodes", "2", "--chrome", str(out)])
+    rc = main(["run", "helmholtz", "--nodes", "2", "--profile", "--chrome", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     events = doc["traceEvents"]
@@ -51,7 +51,7 @@ def test_cli_chrome_export(tmp_path):
 def test_cli_sdsm_lock_wait_visible(capsys):
     """Figure-7 shape on the conventional translation: the hot-lock table
     is populated and lock-wait shows up in the group rollup."""
-    rc = main(["cg", "--nodes", "2", "--mode", "sdsm", "--check"])
+    rc = main(["run", "cg", "--nodes", "2", "--mode", "sdsm", "--profile", "--check"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "hot locks" in out
@@ -60,4 +60,4 @@ def test_cli_sdsm_lock_wait_visible(capsys):
 
 
 def test_cli_rejects_unknown_app(capsys):
-    assert main(["no-such-app"]) == 1
+    assert main(["run", "no-such-app", "--profile"]) == 1

@@ -1,8 +1,8 @@
-"""Smoke tests for the ``python -m repro.trace`` CLI.
+"""Smoke tests for ``python -m repro run --trace`` (see docs/TRACING.md).
 
 These run the module as a subprocess the way a user would, so the CLI
-entry point can never silently rot (satellite of the tracing PR; see
-docs/TRACING.md).  In-process tests of main() cover flag handling.
+entry point can never silently rot.  In-process tests of main() cover
+flag handling.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.__main__ import main
+
 REPO = Path(__file__).resolve().parent.parent
 SRC = str(REPO / "src")
 
@@ -21,7 +23,7 @@ def _run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "repro.trace", *args],
+        [sys.executable, "-m", "repro", "run", *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
 
@@ -36,7 +38,7 @@ def test_cli_help():
 def test_cli_tiny_traced_run(tmp_path):
     out = tmp_path / "trace.json"
     csv = tmp_path / "trace.csv"
-    proc = _run_cli("helmholtz", "--nodes", "2", "-o", str(out), "--csv", str(csv))
+    proc = _run_cli("helmholtz", "--nodes", "2", "--trace", str(out), "--csv", str(csv))
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert "protocol check: OK" in proc.stdout
     doc = json.load(open(out))
@@ -51,40 +53,30 @@ def test_cli_tiny_traced_run(tmp_path):
 
 # in-process flag coverage (fast; no simulation)
 def test_cli_list(capsys):
-    from repro.trace.__main__ import main
-
-    assert main(["--list"]) == 0
+    assert main(["run", "--list"]) == 0
     out = capsys.readouterr().out
     for app in ("helmholtz", "ep", "cg", "md"):
         assert app in out
 
 
 def test_cli_unknown_app(capsys):
-    from repro.trace.__main__ import main
-
-    assert main(["nosuchapp"]) == 1
+    assert main(["run", "nosuchapp"]) == 1
     assert "unknown app" in capsys.readouterr().err
 
 
 def test_cli_unknown_exec(capsys):
-    from repro.trace.__main__ import main
-
-    assert main(["helmholtz", "--exec", "9Thread-9CPU"]) == 1
+    assert main(["run", "helmholtz", "--exec", "9Thread-9CPU"]) == 1
     assert "unknown exec config" in capsys.readouterr().err
 
 
 def test_cli_unknown_category(capsys):
-    from repro.trace.__main__ import main
-
-    assert main(["helmholtz", "--cats", "dsm.page,bogus"]) == 1
+    assert main(["run", "helmholtz", "--trace", "t.json", "--cats", "dsm.page,bogus"]) == 1
     assert "unknown categories" in capsys.readouterr().err
 
 
 def test_cli_in_process_run_with_category_filter(tmp_path, capsys):
-    from repro.trace.__main__ import main
-
     out = tmp_path / "t.json"
-    rc = main(["helmholtz", "--nodes", "2", "-o", str(out),
+    rc = main(["run", "helmholtz", "--nodes", "2", "--trace", str(out),
                "--cats", "dsm.page,dsm.barrier"])
     assert rc == 0
     stdout = capsys.readouterr().out
