@@ -357,7 +357,6 @@ def _report_profile(args, prof, result, label: str) -> List[str]:
     from repro.profile.export import write_profile_chrome
     from repro.profile.report import ProfileReport
 
-    prof.finalize()
     meta = {
         "app": args.app, "mode": args.mode, "nodes": args.nodes,
         "exec": args.exec_name, "title": label,

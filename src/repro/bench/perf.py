@@ -405,8 +405,7 @@ def phase_breakdown(spec: dict, n_nodes: int = 4, accel: bool = False) -> Dict[s
         n_nodes=n_nodes, pool_bytes=spec["pool_bytes"], protocol_accel=accel
     )
     prof = Profiler(rt.sim, record_intervals=False)
-    rt.run(spec["factory"]())
-    prof.finalize()
+    rt.run(spec["factory"]())  # closes the profiler at the run's end
     return prof.group_fractions(ndigits=4)
 
 

@@ -1,16 +1,21 @@
 """The chaos engine: seeded fault injection + the reliability layer.
 
-Attaches to a :class:`~repro.sim.Simulator` the same zero-cost way
-``sim.trace`` / ``sim.san`` / ``sim.prof`` do::
+Fault injection changes the schedule, so the engine is not an observer
+on ``sim.obs``: it hangs off its single injection point, the network::
 
-    engine = ChaosEngine(sim, plan_by_name("drop"), seed=7)  # sim.chaos set
-    engine.install(cluster)      # bind network, arm slowdown windows
+    engine = ChaosEngine(sim, plan_by_name("drop"), seed=7)
+    engine.install(cluster)      # network.chaos set, slowdown windows armed
     ... run the program ...
     engine.stats.as_dict()       # injection + recovery counters
 
-When attached, :meth:`Network.send <repro.cluster.network.Network.send>`
-hands every remote frame to :meth:`transmit` instead of scheduling plain
-switch propagation.  The engine then plays both sides of a lossy link:
+Consumers guard on ``network.chaos is None`` (one load and one compare
+per message on a fault-free run): :meth:`Network.send
+<repro.cluster.network.Network.send>` hands every remote frame to
+:meth:`transmit` instead of scheduling plain switch propagation, the comm
+threads ask :meth:`comm_stall` before each drain, and the DSM re-issues
+idempotent requests after quiet RTOs.  Its fault events reach the trace
+recorder through ``sim.obs`` like any other instrumentation site.  The
+engine plays both sides of a lossy link:
 
 **Injection** — per-frame fate draws (drop / corrupt / latency spike /
 reorder hold / duplicate) from a per-link RNG stream, deterministic
@@ -128,8 +133,7 @@ class ChaosEngine:
 
     Parameters
     ----------
-    sim : the simulator to attach to (``sim.chaos`` is set unless
-        ``attach=False``)
+    sim : the simulator whose clock and RNG-free schedule it drives
     plan : the :class:`~repro.chaos.plan.FaultPlan` to execute
     seed : integer the per-link / per-node RNG streams derive from; the
         same (plan, seed) pair reproduces every fault bit-for-bit
@@ -142,7 +146,6 @@ class ChaosEngine:
         plan: FaultPlan,
         seed: int = 0,
         reliability: Optional[ReliabilityConfig] = None,
-        attach: bool = True,
     ):
         self.sim = sim
         self.plan = plan
@@ -152,23 +155,15 @@ class ChaosEngine:
         self.network = None
         self._links: Dict[Tuple[int, int], _LinkState] = {}
         self._stall_rngs: Dict[int, random.Random] = {}
-        if attach:
-            self.attach()
 
     # -- lifecycle ------------------------------------------------------
-    def attach(self) -> "ChaosEngine":
-        """Install as ``sim.chaos`` so the network and comm threads find us."""
-        self.sim.chaos = self
-        return self
-
-    def detach(self) -> "ChaosEngine":
-        if getattr(self.sim, "chaos", None) is self:
-            self.sim.chaos = None
-        return self
-
     def install(self, cluster) -> "ChaosEngine":
-        """Bind the cluster's network and arm node-slowdown windows."""
-        self._bind(cluster.network)
+        """Become the cluster network's ``chaos`` and arm node-slowdown
+        windows."""
+        if self.network is not None:
+            raise RuntimeError("a ChaosEngine serves one network")
+        self.network = cluster.network
+        self.network.chaos = self
         for sd in self.plan.slowdowns:
             if not (0 <= sd.node < len(cluster.nodes)):
                 raise ValueError(
@@ -180,10 +175,10 @@ class ChaosEngine:
             def begin(ev=None, node=node, sd=sd):
                 node.speed_factor = node.speed_factor / sd.factor
                 self.stats.slowdown_windows += 1
-                tr = self.sim.trace
-                if tr is not None:
-                    tr.instant(CAT_CHAOS, "slowdown-begin", node=node.id,
-                               tid="chaos", factor=sd.factor)
+                obs = self.sim.obs
+                if obs is not None:
+                    obs.instant(CAT_CHAOS, "slowdown-begin", node=node.id,
+                                tid="chaos", factor=sd.factor)
 
             if sd.t0 <= 0.0:
                 # derate synchronously: a window open from t=0 must cover
@@ -196,19 +191,13 @@ class ChaosEngine:
 
                 def end(ev, node=node, sd=sd):
                     node.speed_factor = node.speed_factor * sd.factor
-                    tr = self.sim.trace
-                    if tr is not None:
-                        tr.instant(CAT_CHAOS, "slowdown-end", node=node.id,
-                                   tid="chaos", factor=sd.factor)
+                    obs = self.sim.obs
+                    if obs is not None:
+                        obs.instant(CAT_CHAOS, "slowdown-end", node=node.id,
+                                    tid="chaos", factor=sd.factor)
 
                 self.sim.timeout(sd.t1).add_callback(end)
         return self
-
-    def _bind(self, network) -> None:
-        if self.network is None:
-            self.network = network
-        elif self.network is not network:
-            raise RuntimeError("one ChaosEngine cannot serve two networks")
 
     # -- RNG streams ----------------------------------------------------
     def _link(self, src: int, dst: int) -> _LinkState:
@@ -251,7 +240,7 @@ class ChaosEngine:
         return max(rel.min_rto, rel.dsm_rto_rtts * self._ideal_rtt(_DSM_REPLY_BYTES))
 
     # -- transmit path --------------------------------------------------
-    def transmit(self, network, msg) -> None:
+    def transmit(self, msg) -> None:
         """Take ownership of one remote frame after NIC serialisation.
 
         Called by :meth:`Network.send`; assigns the link sequence number,
@@ -259,7 +248,6 @@ class ChaosEngine:
         transmission attempt through the fault pipeline, and arms the
         retransmit timer.
         """
-        self._bind(network)
         ls = self._link(msg.src, msg.dst)
         msg.rel_seq = ls.tx_seq
         ls.tx_seq += 1
@@ -279,13 +267,13 @@ class ChaosEngine:
         lose it or schedule its arrival at the receiving link end."""
         sim = self.sim
         ic = self.network.interconnect
-        tr = sim.trace
+        obs = sim.obs
         if self.plan.flapped(msg.src, msg.dst, sim.now):
             self.stats.flap_drops += 1
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "flap-drop", node=msg.src, tid="chaos",
-                           dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
-                self._counters(tr)
+            if obs is not None:
+                obs.instant(CAT_CHAOS, "flap-drop", node=msg.src, tid="chaos",
+                            dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
+                self._counters(obs)
             return  # the retransmit timer recovers
 
     # fate draws in a fixed order from the link stream; short-circuiting
@@ -300,10 +288,10 @@ class ChaosEngine:
             rng = ls.rng
             if f.drop and rng.random() < f.drop:
                 self.stats.drops += 1
-                if tr is not None:
-                    tr.instant(CAT_CHAOS, "drop", node=msg.src, tid="chaos",
-                               dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
-                    self._counters(tr)
+                if obs is not None:
+                    obs.instant(CAT_CHAOS, "drop", node=msg.src, tid="chaos",
+                                dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
+                    self._counters(obs)
                 return
             if f.corrupt and rng.random() < f.corrupt:
                 corrupt = True
@@ -311,20 +299,20 @@ class ChaosEngine:
             if f.delay and rng.random() < f.delay:
                 delay += f.delay_s
                 self.stats.delays += 1
-                if tr is not None:
-                    tr.instant(CAT_CHAOS, "delay", node=msg.src, tid="chaos",
-                               dst=msg.dst, seq=msg.seq, spike=f.delay_s)
+                if obs is not None:
+                    obs.instant(CAT_CHAOS, "delay", node=msg.src, tid="chaos",
+                                dst=msg.dst, seq=msg.seq, spike=f.delay_s)
             if f.reorder and rng.random() < f.reorder:
                 delay += f.reorder_s
                 self.stats.reorders += 1
-                if tr is not None:
-                    tr.instant(CAT_CHAOS, "reorder-hold", node=msg.src, tid="chaos",
-                               dst=msg.dst, seq=msg.seq, hold=f.reorder_s)
+                if obs is not None:
+                    obs.instant(CAT_CHAOS, "reorder-hold", node=msg.src, tid="chaos",
+                                dst=msg.dst, seq=msg.seq, hold=f.reorder_s)
             if f.duplicate and rng.random() < f.duplicate:
                 self.stats.dups_injected += 1
-                if tr is not None:
-                    tr.instant(CAT_CHAOS, "dup", node=msg.src, tid="chaos",
-                               dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
+                if obs is not None:
+                    obs.instant(CAT_CHAOS, "dup", node=msg.src, tid="chaos",
+                                dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
                 t0 = sim.now
                 dup = sim.timeout(delay + 0.5 * ic.latency)
                 dup.add_callback(lambda ev: self._arrive(ls, msg, False, t0))
@@ -334,14 +322,14 @@ class ChaosEngine:
 
     def _arrive(self, ls: _LinkState, msg, corrupt: bool, flight_t0: float) -> None:
         """Receiving link end: checksum, ack, dedup, resequence, deliver."""
-        tr = self.sim.trace
+        obs = self.sim.obs
         if corrupt:
             # checksum failure: indistinguishable from a drop to the
             # receiver's protocol layers; the sender's timer recovers
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "corrupt-drop", node=msg.dst, tid="chaos",
-                           src=msg.src, seq=msg.seq, rel_seq=msg.rel_seq)
-                self._counters(tr)
+            if obs is not None:
+                obs.instant(CAT_CHAOS, "corrupt-drop", node=msg.dst, tid="chaos",
+                            src=msg.src, seq=msg.seq, rel_seq=msg.rel_seq)
+                self._counters(obs)
             return
         seq = msg.rel_seq
         # selective ack for every intact arrival (duplicates re-ack: the
@@ -349,17 +337,17 @@ class ChaosEngine:
         self._send_ack(ls, msg)
         if seq < ls.rx_next or seq in ls.rx_buf:
             self.stats.dup_suppressed += 1
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "dup-suppress", node=msg.dst, tid="chaos",
-                           src=msg.src, seq=msg.seq, rel_seq=seq)
-                self._counters(tr)
+            if obs is not None:
+                obs.instant(CAT_CHAOS, "dup-suppress", node=msg.dst, tid="chaos",
+                            src=msg.src, seq=msg.seq, rel_seq=seq)
+                self._counters(obs)
             return
         if seq > ls.rx_next:
             ls.rx_buf[seq] = (msg, flight_t0)
             self.stats.reorder_buffered += 1
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "resequence-hold", node=msg.dst, tid="chaos",
-                           src=msg.src, seq=msg.seq, rel_seq=seq, expected=ls.rx_next)
+            if obs is not None:
+                obs.instant(CAT_CHAOS, "resequence-hold", node=msg.dst, tid="chaos",
+                            src=msg.src, seq=msg.seq, rel_seq=seq, expected=ls.rx_next)
             return
         # in order: deliver, then drain the resequencing buffer
         self.network._deliver(msg, flight_t0=flight_t0)
@@ -381,10 +369,10 @@ class ChaosEngine:
                 lost = True
         if lost:
             self.stats.ack_drops += 1
-            tr = self.sim.trace
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "ack-drop", node=msg.dst, tid="chaos",
-                           src=msg.src, rel_seq=msg.rel_seq)
+            obs = self.sim.obs
+            if obs is not None:
+                obs.instant(CAT_CHAOS, "ack-drop", node=msg.dst, tid="chaos",
+                            src=msg.src, rel_seq=msg.rel_seq)
             return
         seq = msg.rel_seq
         back = sim.timeout(self.network.interconnect.latency)
@@ -405,15 +393,13 @@ class ChaosEngine:
             if ent[1] > self.stats.max_attempts:
                 self.stats.max_attempts = ent[1]
             self.stats.retransmits += 1
-            prof = sim.prof
-            if prof is not None:
+            obs = sim.obs
+            if obs is not None:
                 # the wire sat dead from the last attempt to this timer
-                prof.on_retransmit_wait(ent[2], sim.now)
-            tr = sim.trace
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "retransmit", node=msg.src, tid="chaos",
-                           dst=msg.dst, seq=msg.seq, rel_seq=seq, attempt=ent[1])
-                self._counters(tr)
+                obs.on_retransmit_wait(ent[2], sim.now)
+                obs.instant(CAT_CHAOS, "retransmit", node=msg.src, tid="chaos",
+                            dst=msg.dst, seq=msg.seq, rel_seq=seq, attempt=ent[1])
+                self._counters(obs)
             ent[2] = sim.now
             self._launch(ls, msg, attempt + 1)
             self._arm_timer(ls, msg, attempt + 1)
@@ -430,17 +416,17 @@ class ChaosEngine:
         if self._stall_rng(node_id).random() >= spec.prob:
             return 0.0
         self.stats.comm_stalls += 1
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant(CAT_CHAOS, "comm-stall", node=node_id, tid="chaos",
-                       stall=spec.stall_s)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.instant(CAT_CHAOS, "comm-stall", node=node_id, tid="chaos",
+                        stall=spec.stall_s)
         return spec.stall_s
 
     # -- observability ----------------------------------------------------
-    def _counters(self, tr) -> None:
+    def _counters(self, obs) -> None:
         """One sample of the reliability counter series (``ph:"C"``)."""
         s = self.stats
-        tr.counter(
+        obs.counter(
             CAT_CHAOS, "reliability",
             drops=s.drops + s.flap_drops + s.corrupts,
             dups=s.dup_suppressed,

@@ -52,6 +52,10 @@ class Network:
         #: harness's ``msgs_sent``/``bytes_sent`` columns and lets
         #: ``repro.trace diff`` deltas be attributed to one protocol.
         self.channel_stats: Dict[Any, List[int]] = {}
+        #: the :class:`~repro.chaos.ChaosEngine` owning remote propagation,
+        #: or None on a perfect network (set by ``ChaosEngine.install``);
+        #: the DSM nodes and comm threads of the cluster read it here too
+        self.chaos = None
 
     def send(self, src: int, dst: int, nbytes: int, payload: Any, tag: Any = None):
         """Generator: transmit from the calling thread's context on *src*.
@@ -82,15 +86,9 @@ class Network:
         cs[1] += nbytes
         node.msgs_sent += 1
         node.bytes_sent += nbytes
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant(
-                "net", "msg-send", node=src, dst=dst, nbytes=nbytes,
-                tag=str(tag), seq=msg.seq,
-            )
-        mx = self.sim.metrics
-        if mx is not None:
-            mx.on_net_send(src, dst, nbytes)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_send(msg)
 
         if src == dst:
             # Loopback: no NIC, just a copy cost, delivered immediately.
@@ -100,52 +98,40 @@ class Network:
             msg.deliver_time = self.sim.now
             node.msgs_received += 1
             node.bytes_received += nbytes
-            if tr is not None:
-                tr.instant(
-                    "net", "msg-deliver", node=dst, tid="wire",
-                    src=src, nbytes=nbytes, tag=str(tag), seq=msg.seq,
-                )
-            if mx is not None:
-                mx.on_net_deliver(src, dst, nbytes, self.sim.now - msg.send_time)
+            if obs is not None:
+                obs.on_deliver(msg, None)
             node.inbox.put(msg)
             return msg
 
         ic = self.interconnect
         # Sender-side protocol processing on a CPU of the calling thread.
         yield from node.busy_cpu(ic.send_cpu_time(nbytes))
-        # NIC serialisation: holds the transmit engine for nbytes/bandwidth.
+        # NIC serialisation: holds the transmit engine for nbytes/bandwidth
+        # (the events of nic_tx.execute, with the engine-queue wait and
+        # the transmit occupancy phased separately)
         tx_time = nbytes / ic.bandwidth
         t0 = self.sim.now
-        prof = self.sim.prof
-        if prof is None:
-            yield from node.nic_tx.execute(tx_time)
-        else:
+        req = node.nic_tx.request()
+        if obs is not None:
             from repro.profile.phases import PH_NET_TX
 
-            # same event sequence as nic_tx.execute, with the engine-queue
-            # wait and the transmit occupancy phased separately
-            req = node.nic_tx.request()
-            prof.push(PH_NET_TX)
-            try:
-                yield req
-            except BaseException:
-                prof.pop()
-                raise
-            prof.replace(PH_NET_TX, active=True)
-            try:
-                yield self.sim.timeout(tx_time)
-            finally:
-                prof.pop()
-                node.nic_tx.release(req)
-        if tr is not None:
-            tr.span("net", "nic-tx", t0, node=src, dst=dst, nbytes=nbytes, seq=msg.seq)
-        ch = self.sim.chaos
+            obs.on_enter(PH_NET_TX)
+        yield req
+        if obs is not None:
+            obs.replace(PH_NET_TX, True)
+        try:
+            yield self.sim.timeout(tx_time)
+        finally:
+            node.nic_tx.release(req)
+        if obs is not None:
+            obs.on_leave("net", "nic-tx", t0, node=src, dst=dst, nbytes=nbytes, seq=msg.seq)
+        ch = self.chaos
         if ch is not None:
             # Fault-injected path: the chaos engine owns propagation —
             # it may drop, duplicate, delay, or corrupt the frame, and its
             # ack/retransmit layer guarantees exactly-once in-order
             # delivery into the inbox via _deliver.
-            ch.transmit(self, msg)
+            ch.transmit(msg)
             return msg
         # Propagation through the switch: pure delay, then delivery.
         deliver = self.sim.timeout(ic.latency)
@@ -156,34 +142,22 @@ class Network:
         """Terminal delivery into the destination inbox.
 
         Every remote frame — perfect-network or chaos-recovered — funnels
-        through here, so receive accounting, the ``msg-deliver`` trace
-        instant, and the profiler's flight interval cannot be skipped by
-        any delivery path.  *flight_t0* is the virtual time the frame
-        entered the switch; ``None`` means one nominal latency ago (the
-        perfect-network case).
+        through here, so receive accounting and the observers'
+        ``on_deliver`` (the ``msg-deliver`` trace instant, the profiler's
+        flight interval) cannot be skipped by any delivery path.
+        *flight_t0* is the virtual time the frame entered the switch;
+        ``None`` means one nominal latency ago (the perfect-network case).
         """
         msg.deliver_time = self.sim.now
         node = self.nodes[msg.dst]
         node.msgs_received += 1
         node.bytes_received += msg.nbytes
-        prof = self.sim.prof
-        if prof is not None:
-            # the switch-propagation leg, on the pseudo-thread "net"
-            prof.on_net_flight(
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_deliver(
+                msg,
                 self.sim.now - self.interconnect.latency if flight_t0 is None
                 else flight_t0,
-                self.sim.now,
-            )
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant(
-                "net", "msg-deliver", node=msg.dst, tid="wire",
-                src=msg.src, nbytes=msg.nbytes, tag=str(msg.tag), seq=msg.seq,
-            )
-        mx = self.sim.metrics
-        if mx is not None:
-            mx.on_net_deliver(
-                msg.src, msg.dst, msg.nbytes, self.sim.now - msg.send_time
             )
         node.inbox.put(msg)
 

@@ -43,28 +43,20 @@ class Node:
         seconds = work_units * self.config.seconds_per_work_unit / self.speed_factor
         self.compute_time += seconds
         req = self.cpus.request(priority=priority)
-        prof = self.sim.prof
-        if prof is None:
-            yield req
-            try:
-                yield Timeout(self.sim, seconds)
-            finally:
-                self.cpus.release(req)
-        else:
+        obs = self.sim.obs
+        if obs is not None:
             from repro.profile.phases import PH_COMPUTE, PH_CPU_WAIT
 
-            prof.push(PH_CPU_WAIT)
-            try:
-                yield req
-            except BaseException:
-                prof.pop()
-                raise
-            prof.replace(PH_COMPUTE, active=True)
-            try:
-                yield Timeout(self.sim, seconds)
-            finally:
-                prof.pop()
-                self.cpus.release(req)
+            obs.on_enter(PH_CPU_WAIT)
+        yield req
+        if obs is not None:
+            obs.replace(PH_COMPUTE, True)
+        try:
+            yield Timeout(self.sim, seconds)
+        finally:
+            if obs is not None:
+                obs.pop()
+            self.cpus.release(req)
 
     def busy_cpu(self, seconds: float, priority: int = 0):
         """Generator: occupy one CPU for raw protocol-overhead *seconds*
@@ -72,30 +64,22 @@ class Node:
         scaled = seconds / self.speed_factor
         self.overhead_time += scaled
         req = self.cpus.request(priority=priority)
-        prof = self.sim.prof
-        if prof is None:
-            yield req
-            try:
-                yield Timeout(self.sim, scaled)
-            finally:
-                self.cpus.release(req)
-        else:
+        obs = self.sim.obs
+        if obs is not None:
             from repro.profile.phases import PH_CPU_WAIT
 
+            obs.on_enter(PH_CPU_WAIT)
+        yield req
+        if obs is not None:
             # the burst itself is charged to the *enclosing* phase (diff
             # work under flush, spin under lock-wait ...), marked active
-            prof.push(PH_CPU_WAIT)
-            try:
-                yield req
-            except BaseException:
-                prof.pop()
-                raise
-            prof.replace_busy()
-            try:
-                yield Timeout(self.sim, scaled)
-            finally:
-                prof.pop()
-                self.cpus.release(req)
+            obs.replace_busy()
+        try:
+            yield Timeout(self.sim, scaled)
+        finally:
+            if obs is not None:
+                obs.pop()
+            self.cpus.release(req)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.id} ({self.config.cpu_mhz[self.id]} MHz x{self.config.cpus_per_node})>"

@@ -34,11 +34,6 @@ class DsmConfig:
     #: (:meth:`DsmNode.try_fast_access`).  Off = always take the slow
     #: path; the equivalence test pins both to identical traces.
     fast_path: bool = True
-    #: attach the happens-before sanitizer (:mod:`repro.sanitizer`) to the
-    #: run: vector-clock data-race detection over every DSM access plus
-    #: live protocol-invariant checks.  Diagnostic tool — adds host-side
-    #: cost, never changes virtual time.
-    sanitize: bool = False
     #: protocol accelerator — lock-grant diff piggybacking: a releaser
     #: attaches its small diffs (at most
     #: :data:`~repro.dsm.node.PIGGYBACK_MAX_BYTES` each) to the release

@@ -352,18 +352,12 @@ class DsmNode:
         old = self.state[page]
         if old == new:
             return
-        san = self.sim.san
-        if san is not None:
-            san.on_page_state(self.id, page, old, new, reason)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_page_state(self.id, page, old, new, reason)
         if not is_valid_transition(old, new, reason):
             raise IllegalTransition(page, old, new, reason)
         self.state[page] = new
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant(
-                "dsm.page", "page-state", node=self.id,
-                page=page, src=old.name, dst=new.name, reason=reason,
-            )
 
     def page_range(self, addr: int, size: int) -> range:
         if size <= 0:
@@ -444,9 +438,9 @@ class DsmNode:
         """Protection-checked read returning bytes (faults as needed)."""
         if not self.try_fast_access(addr, size, write=False):
             yield from self.acquire_read(addr, size)
-        san = self.sim.san
-        if san is not None:
-            san.on_access(self.id, addr, size, False, f"[{addr:#x}+{size}]")
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_access(self.id, addr, size, False, None)
         return self.space.read(addr, size)
 
     def write(self, addr: int, data: bytes):
@@ -454,51 +448,48 @@ class DsmNode:
         data = bytes(data)
         if not self.try_fast_access(addr, len(data), write=True):
             yield from self.acquire_write(addr, len(data))
-        san = self.sim.san
-        if san is not None:
-            san.on_access(self.id, addr, len(data), True, f"[{addr:#x}+{len(data)}]")
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_access(self.id, addr, len(data), True, None)
         self.space.write(addr, data)
 
     # ------------------------------------------------------------------
     # fault service (the SIGSEGV handler, §5.2.3)
     # ------------------------------------------------------------------
     def _service_fault(self, page: int, is_write: bool):
-        tr = self.sim.trace
+        obs = self.sim.obs
         while True:
             st = self.state[page]
-            prof = self.sim.prof
             if st == PageState.READ_ONLY:
                 if not is_write:
                     return  # raced with another thread's completed fetch
                 # write fault on a valid clean page
                 self.stats.write_faults += 1
                 t0 = self.sim.now
-                if prof is not None:
+                if obs is not None:
                     # local service only: SIGSEGV + twin + mprotect costs,
                     # charged as fault-work by the busy slices inside
-                    prof.on_fault(page, True)
-                    prof.push(PH_FAULT_WORK)
-                try:
-                    yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
-                    if self.state[page] is not PageState.READ_ONLY:
-                        # a sibling invalidated the page (lock-grant notice)
-                        # or upgraded it first while we yielded; retry
-                        continue
+                    obs.on_fault(page, True)
+                    obs.on_enter(PH_FAULT_WORK)
+                yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
+                if self.state[page] is PageState.READ_ONLY:
                     if self.config.homeless or self.home[page] != self.id:
                         self._make_twin(page)
                     yield from self.node.busy_cpu(self.cluster_config.mprotect_overhead)
-                    if self.state[page] is not PageState.READ_ONLY:
-                        continue  # _invalidate dropped the twin; retry
-                    self._set_state(page, PageState.DIRTY, "write-fault")
-                    self.space.protect(page, PROT_RW)
-                    self.dirty.add(page)
-                    if tr is not None:
-                        tr.span("dsm.page", "fault", t0, node=self.id,
-                                page=page, kind="write-upgrade")
-                    return
-                finally:
-                    if prof is not None:
-                        prof.pop()
+                if self.state[page] is not PageState.READ_ONLY:
+                    # a sibling invalidated the page (lock-grant notice,
+                    # dropping the twin) or upgraded it first while we
+                    # yielded; retry
+                    if obs is not None:
+                        obs.pop()
+                    continue
+                self._set_state(page, PageState.DIRTY, "write-fault")
+                self.space.protect(page, PROT_RW)
+                self.dirty.add(page)
+                if obs is not None:
+                    obs.on_leave("dsm.page", "fault", t0, node=self.id,
+                                 page=page, kind="write-upgrade")
+                return
             if st == PageState.DIRTY:
                 return  # already writable
             if st == PageState.INVALID and page in self._expected_frames:
@@ -512,27 +503,18 @@ class DsmNode:
                 else:
                     self.stats.read_faults += 1
                 t0 = self.sim.now
-                if prof is not None:
-                    prof.on_fault(page, is_write)
-                    prof.push(PH_FAULT_WORK)
-                try:
-                    yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
-                finally:
-                    if prof is not None:
-                        prof.pop()
+                if obs is not None:
+                    obs.on_fault(page, is_write)
+                    obs.on_enter(PH_FAULT_WORK)
+                yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
                 ev = self._expected_frames.get(page)
                 if ev is not None and not ev.triggered:
-                    if prof is None:
-                        yield ev
-                    else:
-                        prof.push(PH_PAGE_WAIT)
-                        try:
-                            yield ev
-                        finally:
-                            prof.pop()
-                if tr is not None:
-                    tr.span("dsm.page", "fault", t0, node=self.id,
-                            page=page, kind="push-wait")
+                    if obs is not None:
+                        obs.replace(PH_PAGE_WAIT, False)
+                    yield ev
+                if obs is not None:
+                    obs.on_leave("dsm.page", "fault", t0, node=self.id,
+                                 page=page, kind="push-wait")
                 continue
             if st == PageState.INVALID:
                 if is_write:
@@ -540,55 +522,49 @@ class DsmNode:
                 else:
                     self.stats.read_faults += 1
                 t0 = self.sim.now
-                if prof is not None:
+                if obs is not None:
                     # fetch round-trips re-phase themselves as fault-fetch;
                     # the rest (fault/mprotect/update CPU) is fault-work
-                    prof.on_fault(page, is_write)
-                    prof.push(PH_FAULT_WORK)
-                try:
-                    self._set_state(page, PageState.TRANSIENT, "fault")
-                    yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
-                    final_prot = PROT_RW if is_write else PROT_READ
-                    if self.config.homeless:
-                        yield from self._pull_missing_diffs(page)
-                        yield from self.node.busy_cpu(self.cluster_config.mprotect_overhead)
-                        self.space.protect(page, final_prot)
-                    else:
-                        data = yield from self._fetch_page(page)
-                        yield from self.strategy.update_page(self, self.space, page, data, final_prot)
-                    if page in self._pending_inval:
-                        # An invalidation raced with this fetch (a sibling
-                        # thread applied a write notice for the page while
-                        # the fetch was in flight): the copy just installed
-                        # may be stale.  Close the update through the legal
-                        # Figure-5 chain, drop it, wake waiters, and retry.
-                        self._pending_inval.discard(page)
-                        self._set_state(page, PageState.READ_ONLY, "update-done")
-                        self._invalidate(page)
-                        waiter = self._page_waiters.pop(page, None)
-                        if waiter is not None:
-                            waiter.succeed()
-                        if tr is not None:
-                            tr.span("dsm.page", "fault", t0, node=self.id,
-                                    page=page, kind="retry-invalidated")
-                        continue
-                    if is_write:
-                        if self.config.homeless or self.home[page] != self.id:
-                            self._make_twin(page)
-                        self.dirty.add(page)
-                        self._set_state(page, PageState.DIRTY, "update-done-write")
-                    else:
-                        self._set_state(page, PageState.READ_ONLY, "update-done")
-                    waiter = self._page_waiters.pop(page, None)
-                    if waiter is not None:
-                        waiter.succeed()
-                    if tr is not None:
-                        tr.span("dsm.page", "fault", t0, node=self.id,
-                                page=page, kind="write" if is_write else "read")
-                    return
-                finally:
-                    if prof is not None:
-                        prof.pop()
+                    obs.on_fault(page, is_write)
+                    obs.on_enter(PH_FAULT_WORK)
+                self._set_state(page, PageState.TRANSIENT, "fault")
+                yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
+                final_prot = PROT_RW if is_write else PROT_READ
+                if self.config.homeless:
+                    yield from self._pull_missing_diffs(page)
+                    yield from self.node.busy_cpu(self.cluster_config.mprotect_overhead)
+                    self.space.protect(page, final_prot)
+                else:
+                    data = yield from self._fetch_page(page)
+                    yield from self.strategy.update_page(self, self.space, page, data, final_prot)
+                if page in self._pending_inval:
+                    # An invalidation raced with this fetch (a sibling
+                    # thread applied a write notice for the page while
+                    # the fetch was in flight): the copy just installed
+                    # may be stale.  Close the update through the legal
+                    # Figure-5 chain, drop it, wake waiters, and retry.
+                    self._pending_inval.discard(page)
+                    self._set_state(page, PageState.READ_ONLY, "update-done")
+                    self._invalidate(page)
+                    kind = "retry-invalidated"
+                elif is_write:
+                    if self.config.homeless or self.home[page] != self.id:
+                        self._make_twin(page)
+                    self.dirty.add(page)
+                    self._set_state(page, PageState.DIRTY, "update-done-write")
+                    kind = "write"
+                else:
+                    self._set_state(page, PageState.READ_ONLY, "update-done")
+                    kind = "read"
+                waiter = self._page_waiters.pop(page, None)
+                if waiter is not None:
+                    waiter.succeed()
+                if obs is not None:
+                    obs.on_leave("dsm.page", "fault", t0, node=self.id,
+                                 page=page, kind=kind)
+                if kind == "retry-invalidated":
+                    continue
+                return
             # TRANSIENT or BLOCKED: some other thread is updating; wait.
             self.stats.blocked_waits += 1
             if st == PageState.TRANSIENT:
@@ -598,24 +574,19 @@ class DsmNode:
                 waiter = Event(self.sim, name=f"pagewait[{self.id}:{page}]")
                 self._page_waiters[page] = waiter
             t0 = self.sim.now
-            if prof is None:
-                yield waiter
-            else:
-                prof.push(PH_PAGE_WAIT)
-                try:
-                    yield waiter
-                finally:
-                    prof.pop()
-            if tr is not None:
-                tr.span("dsm.page", "page-wait", t0, node=self.id, page=page)
+            if obs is not None:
+                obs.on_enter(PH_PAGE_WAIT)
+            yield waiter
+            if obs is not None:
+                obs.on_leave("dsm.page", "page-wait", t0, node=self.id, page=page)
             # loop: re-examine the state (may need to upgrade to write)
 
     def _make_twin(self, page: int) -> None:
         self.twins[page] = make_twin(self._page_view(page))
         self.stats.twins_created += 1
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.page", "twin", node=self.id, page=page)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.instant("dsm.page", "twin", node=self.id, page=page)
 
     def _page_view(self, page: int) -> np.ndarray:
         return self.phys.frame_view(page)
@@ -638,13 +609,13 @@ class DsmNode:
             # an unmatched req_id is protocol corruption — keep the strict
             # failure.  Under chaos an idempotent re-issue (_await_reply)
             # can legitimately draw a second reply: count and drop it.
-            if self.sim.chaos is None:
+            if self.net.chaos is None:
                 raise KeyError(req_id)
             self.stats.stale_replies += 1
-            tr = self.sim.trace
-            if tr is not None:
-                tr.instant("chaos", "stale-reply", node=self.id,
-                           tid="chaos", req=req_id)
+            obs = self.sim.obs
+            if obs is not None:
+                obs.instant("chaos", "stale-reply", node=self.id,
+                            tid="chaos", req=req_id)
             return
         ev.succeed(value)
 
@@ -662,13 +633,13 @@ class DsmNode:
         ``dsm_max_reissues``; past that we trust the link layer (which
         raises :class:`~repro.chaos.ChaosDeliveryError` if truly dead).
         """
-        ch = self.sim.chaos
+        ch = self.net.chaos
         if ch is None:
             value = yield ev
             return value
         rel = ch.reliability
         rto = ch.dsm_rto()
-        tr = self.sim.trace
+        obs = self.sim.obs
         for attempt in range(rel.dsm_max_reissues):
             timer = self.sim.timeout(rto * (rel.backoff ** attempt))
             yield AnyOf(self.sim, [ev, timer])
@@ -676,9 +647,9 @@ class DsmNode:
                 return ev.value
             self.stats.dsm_reissues += 1
             ch.stats.dsm_reissues += 1
-            if tr is not None:
-                tr.instant("chaos", "dsm-reissue", node=self.id,
-                           tid="chaos", attempt=attempt + 1)
+            if obs is not None:
+                obs.instant("chaos", "dsm-reissue", node=self.id,
+                            tid="chaos", attempt=attempt + 1)
             yield from resend()
         value = yield ev
         return value
@@ -696,30 +667,22 @@ class DsmNode:
                 self.id, home, 8, (page, self.id), tag=("dsm", "fetch", req_id)
             )
 
-        prof = self.sim.prof
-        if prof is None:
-            yield from send_req()
-            data = yield from self._await_reply(ev, send_req)
-        else:
+        obs = self.sim.obs
+        if obs is not None:
             # request round-trip: send + wait for the home's reply
-            prof.push(PH_FAULT_FETCH)
-            try:
-                yield from send_req()
-                data = yield from self._await_reply(ev, send_req)
-            finally:
-                prof.pop()
-        if prof is not None:
-            prof.on_fetch(page, len(data))
+            obs.on_enter(PH_FAULT_FETCH)
+        yield from send_req()
+        data = yield from self._await_reply(ev, send_req)
         self.stats.pages_fetched += 1
         self.stats.fetch_bytes += len(data)
         if self._accel_adaptive:
             # reported to the master at the next barrier arrival as
             # update-push interest
             self._fetched_since_barrier.add(page)
-        tr = self.sim.trace
-        if tr is not None:
-            tr.span("dsm.page", "fetch", t0, node=self.id,
-                    page=page, home=home, nbytes=len(data))
+        if obs is not None:
+            obs.on_fetch(page, len(data))
+            obs.on_leave("dsm.page", "fetch", t0, node=self.id,
+                         page=page, home=home, nbytes=len(data))
         return data
 
     def _pull_missing_diffs(self, page: int):
@@ -728,7 +691,7 @@ class DsmNode:
         for data-race-free programs, so cross-writer order is free)."""
         records = self._missing.pop(page, [])
         view = self._page_view(page)
-        tr = self.sim.trace
+        obs = self.sim.obs
         t0 = self.sim.now
         n_pulled = 0
         for epoch, writers in sorted(records):
@@ -741,27 +704,21 @@ class DsmNode:
                         self.id, w, 12, (page, epoch, self.id), tag=("dsm", "dget", req_id)
                     )
 
-                prof = self.sim.prof
-                if prof is None:
-                    yield from send_req()
-                    diff = yield from self._await_reply(ev, send_req)
-                else:
-                    prof.push(PH_FAULT_FETCH)
-                    try:
-                        yield from send_req()
-                        diff = yield from self._await_reply(ev, send_req)
-                    finally:
-                        prof.pop()
+                if obs is not None:
+                    obs.on_enter(PH_FAULT_FETCH)
+                yield from send_req()
+                diff = yield from self._await_reply(ev, send_req)
                 self.stats.pages_fetched += 1
                 nb = diff_nbytes(diff)
                 self.stats.fetch_bytes += nb
-                if prof is not None:
-                    prof.on_fetch(page, nb)
+                if obs is not None:
+                    obs.pop()
+                    obs.on_fetch(page, nb)
                 yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
                 apply_diff(view, diff)
                 n_pulled += 1
-        if tr is not None and records:
-            tr.span("dsm.page", "diff-pull", t0, node=self.id, page=page, diffs=n_pulled)
+        if obs is not None and records:
+            obs.span("dsm.page", "diff-pull", t0, node=self.id, page=page, diffs=n_pulled)
 
     # -- handlers run on the communication thread ------------------------
     def handle_dsm(self, msg):
@@ -824,10 +781,10 @@ class DsmNode:
         )
         self.stats.fetches_served += 1
         data = self._page_view(page).tobytes()
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.page", "serve-fetch", node=self.id,
-                       page=page, requester=requester)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.instant("dsm.page", "serve-fetch", node=self.id,
+                        page=page, requester=requester)
         yield from self.net.send(
             self.id, requester, len(data), data, tag=("dsm", "fetchR", req_id)
         )
@@ -838,9 +795,9 @@ class DsmNode:
         )
         yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
         apply_diff(self._page_view(page), diff)
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.page", "diff-apply", node=self.id, page=page)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.instant("dsm.page", "diff-apply", node=self.id, page=page)
 
     # ------------------------------------------------------------------
     # adaptive home migration: page handoff (new-home side)
@@ -902,9 +859,9 @@ class DsmNode:
         ev = self._expected_frames.pop(page, None)
         if ev is not None and not ev.triggered:
             ev.succeed()
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.page", label, node=self.id, page=page)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.instant("dsm.page", label, node=self.id, page=page)
 
     # ------------------------------------------------------------------
     # update push (adaptive migration): home -> predicted re-fetchers
@@ -982,12 +939,12 @@ class DsmNode:
         """Detached sender: one ``push`` frame per (page, reader) —
         exactly-once at the link layer, dropped by the receiver whenever
         installing it would not be sound."""
-        tr = self.sim.trace
+        obs = self.sim.obs
         for page, dst, data in pushes:
             self.stats.updates_pushed += 1
-            if tr is not None:
-                tr.instant("dsm.page", "push", node=self.id,
-                           page=page, dst=dst, epoch=epoch)
+            if obs is not None:
+                obs.instant("dsm.page", "push", node=self.id,
+                            page=page, dst=dst, epoch=epoch)
             yield from self.net.send(
                 self.id, dst, self.page_size + PUSH_HEADER_BYTES,
                 (page, epoch, data), tag=("dsm", "push", self._next_req()),
@@ -1039,72 +996,71 @@ class DsmNode:
         to the lock manager.  With ``adaptive_migration`` the returned notices are sized: they carry
         the diff byte count, the home writer credited one full page."""
         self._interval += 1
-        tr = self.sim.trace
         t0 = self.sim.now
         n_dirty = len(self.dirty)
         diffs_before = self.stats.diffs_sent
         bytes_before = self.stats.diff_bytes
         pages = sorted(self.dirty)
-        prof = self.sim.prof
-        if prof is not None:
+        obs = self.sim.obs
+        if obs is not None:
             # release-time twin/diff work: diff CPU bursts inherit this
             # label; the trailing ack waits count as flush too
-            prof.push(PH_FLUSH)
-        try:
-            if self.config.homeless:
-                assert epoch is not None, "homeless flush requires a barrier epoch"
-                for p in pages:
-                    twin = self.twins.get(p)
-                    assert twin is not None, f"dirty page {p} has no twin on {self.id}"
-                    yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
-                    diff = compute_diff(twin, self._page_view(p))
-                    self._diff_log[(p, epoch)] = diff
-                    if prof is not None:
-                        prof.on_diff(p, diff_nbytes(diff))
-                if tr is not None and n_dirty:
-                    tr.span("dsm.page", "flush", t0, node=self.id, dirty=n_dirty, retained=True)
-                return [WriteNotice(p, self.id, self._interval) for p in pages]
-            acks = []
-            sizes: Dict[int, int] = {}
+            obs.on_enter(PH_FLUSH)
+        if self.config.homeless:
+            assert epoch is not None, "homeless flush requires a barrier epoch"
             for p in pages:
-                if self.home[p] == self.id:
-                    continue
                 twin = self.twins.get(p)
-                assert twin is not None, f"dirty non-home page {p} has no twin on {self.id}"
+                assert twin is not None, f"dirty page {p} has no twin on {self.id}"
                 yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
                 diff = compute_diff(twin, self._page_view(p))
-                nb = diff_nbytes(diff)
-                sizes[p] = nb
-                if not diff:
-                    continue
-                if collect is not None and nb <= PIGGYBACK_MAX_BYTES:
-                    collect[p] = diff
-                self.stats.diffs_sent += 1
-                self.stats.diff_bytes += nb
-                if prof is not None:
-                    prof.on_diff(p, nb)
-                req_id = self._next_req()
-                acks.append(self._pending_event(req_id))
-                yield from self.net.send(self.id, self.home[p], nb, (p, diff), tag=("dsm", "diff", req_id))
-            for ev in acks:
-                yield ev
-            if tr is not None and n_dirty:
-                tr.span(
+                self._diff_log[(p, epoch)] = diff
+                if obs is not None:
+                    obs.on_diff(p, diff_nbytes(diff))
+            if obs is not None:
+                obs.pop()
+                if n_dirty:
+                    obs.span("dsm.page", "flush", t0, node=self.id, dirty=n_dirty, retained=True)
+            return [WriteNotice(p, self.id, self._interval) for p in pages]
+        acks = []
+        sizes: Dict[int, int] = {}
+        for p in pages:
+            if self.home[p] == self.id:
+                continue
+            twin = self.twins.get(p)
+            assert twin is not None, f"dirty non-home page {p} has no twin on {self.id}"
+            yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
+            diff = compute_diff(twin, self._page_view(p))
+            nb = diff_nbytes(diff)
+            sizes[p] = nb
+            if not diff:
+                continue
+            if collect is not None and nb <= PIGGYBACK_MAX_BYTES:
+                collect[p] = diff
+            self.stats.diffs_sent += 1
+            self.stats.diff_bytes += nb
+            if obs is not None:
+                obs.on_diff(p, nb)
+            req_id = self._next_req()
+            acks.append(self._pending_event(req_id))
+            yield from self.net.send(self.id, self.home[p], nb, (p, diff), tag=("dsm", "diff", req_id))
+        for ev in acks:
+            yield ev
+        if obs is not None:
+            obs.pop()
+            if n_dirty:
+                obs.span(
                     "dsm.page", "flush", t0, node=self.id, dirty=n_dirty,
                     diffs=self.stats.diffs_sent - diffs_before,
                     nbytes=self.stats.diff_bytes - bytes_before,
                 )
-            if self._accel_adaptive:
-                # sized notices; the home writer never diffs — credit a
-                # full page as the documented incumbent proxy
-                return [
-                    WriteNotice(p, self.id, self._interval, sizes.get(p, self.page_size))
-                    for p in pages
-                ]
-            return [WriteNotice(p, self.id, self._interval) for p in pages]
-        finally:
-            if prof is not None:
-                prof.pop()
+        if self._accel_adaptive:
+            # sized notices; the home writer never diffs — credit a
+            # full page as the documented incumbent proxy
+            return [
+                WriteNotice(p, self.id, self._interval, sizes.get(p, self.page_size))
+                for p in pages
+            ]
+        return [WriteNotice(p, self.id, self._interval) for p in pages]
 
     def _close_interval(self) -> None:
         """After a flush: dirty pages become clean, twins dropped."""
@@ -1151,22 +1107,17 @@ class DsmNode:
         epoch = self._barrier_epoch
         self._barrier_epoch += 1
         self.stats.barriers += 1
-        tr = self.sim.trace
         bar_t0 = self.sim.now
-        prof = self.sim.prof
-        if prof is not None:
+        obs = self.sim.obs
+        if obs is not None:
             # arrival-to-departure; the nested flush re-phases its own span
-            prof.push(PH_BARRIER)
-        try:
-            yield from self._barrier_body(epoch, tr, bar_t0)
-        finally:
-            if prof is not None:
-                prof.pop()
-            mx = self.sim.metrics
-            if mx is not None:
-                mx.on_barrier_epoch(self.id, self.sim.now - bar_t0)
+            obs.on_enter(PH_BARRIER)
+        yield from self._barrier_body(epoch, obs, bar_t0)
+        if obs is not None:
+            obs.pop()
+            obs.on_barrier_epoch(self.id, self.sim.now - bar_t0)
 
-    def _barrier_body(self, epoch: int, tr, bar_t0: float):
+    def _barrier_body(self, epoch: int, obs, bar_t0: float):
         flushed = yield from self._flush_dirty(epoch=epoch)
         self._close_interval()
         # include notices from lock intervals since the last barrier
@@ -1186,12 +1137,10 @@ class DsmNode:
             nb += 4 * len(fetched)
         else:
             payload = (self.id, notices)
-        if tr is not None:
-            tr.instant("dsm.barrier", "arrive", node=self.id,
-                       epoch=epoch, notices=len(notices))
-        san = self.sim.san
-        if san is not None:
-            san.on_barrier_arrive(self.id, epoch)
+        if obs is not None:
+            obs.instant("dsm.barrier", "arrive", node=self.id,
+                        epoch=epoch, notices=len(notices))
+            obs.on_barrier_arrive(self.id, epoch)
         if self._fanin:
             # hierarchical barrier: contribute the page-level aggregate of
             # our own notices to this node's subtree fold — no frame until
@@ -1211,14 +1160,13 @@ class DsmNode:
             inval_writers, new_homes, push_plan = departure
         else:
             (inval_writers, new_homes), push_plan = departure, {}
-        if san is not None:
-            san.on_barrier_depart(self.id, epoch)
         # push staleness guard: lock invalidations of the closed window
         # no longer block installs (stale pushes now fail the epoch check)
         self._lock_invalidated.clear()
-        if tr is not None:
-            tr.span("dsm.barrier", "barrier", bar_t0, node=self.id,
-                    epoch=epoch, notices=len(notices))
+        if obs is not None:
+            obs.on_barrier_depart(self.id, epoch)
+            obs.span("dsm.barrier", "barrier", bar_t0, node=self.id,
+                     epoch=epoch, notices=len(notices))
 
         if self.config.homeless:
             # record which writers' diffs this copy is missing, oldest first
@@ -1227,8 +1175,8 @@ class DsmNode:
                 if others:
                     self._missing.setdefault(page, []).append((epoch, sorted(others)))
                     self._invalidate(page)
-            if tr is not None:
-                self._emit_census(tr, epoch)
+            if obs is not None:
+                obs.on_page_census(self.id, self.state)
             return
 
         # adaptive migration: before invalidating, an old home whose page
@@ -1240,9 +1188,9 @@ class DsmNode:
                     continue
                 if inval_writers.get(page, set()) - {new_home}:
                     data = self._page_view(page).tobytes()
-                    if tr is not None:
-                        tr.instant("dsm.page", "handoff", node=self.id,
-                                   page=page, dst=new_home, epoch=epoch)
+                    if obs is not None:
+                        obs.instant("dsm.page", "handoff", node=self.id,
+                                    page=page, dst=new_home, epoch=epoch)
                     yield from self.net.send(
                         self.id, new_home, self.page_size + 8, (page, data),
                         tag=("dsm", "hand", self._next_req()),
@@ -1274,8 +1222,8 @@ class DsmNode:
             yield from self._process_push_plan(push_plan, epoch)
             self._push_updates(push_plan, epoch, awaiting_handoff=True,
                                new_homes=new_homes)
-        if tr is not None:
-            self._emit_census(tr, epoch)
+        if obs is not None:
+            obs.on_page_census(self.id, self.state)
 
     def _await_handoffs(self, inval_writers, new_homes):
         """New-home side of adaptive migration: invalidate the stale local
@@ -1311,28 +1259,14 @@ class DsmNode:
                 yield from self._serve_fetch(page, requester, rid)
         if not waits:
             return
-        prof = self.sim.prof
-        if prof is not None:
+        obs = self.sim.obs
+        if obs is not None:
             # a new wait point: phase it like any other page-update wait
-            prof.push(PH_PAGE_WAIT)
-        try:
-            for ev in waits:
-                yield ev
-        finally:
-            if prof is not None:
-                prof.pop()
-
-    def _emit_census(self, tr, epoch: int) -> None:
-        """Counter sample of this node's page-state census (post-barrier).
-
-        All counter args must stay numeric series values: Chrome stacks
-        every ``args`` key as one band of the counter track.
-        """
-        del epoch  # census is stamped by virtual time, not epoch
-        counts = {st.name: 0 for st in PageState}
-        for st in self.state:
-            counts[st.name] += 1
-        tr.counter("counter", "page-census", node=self.id, **counts)
+            obs.on_enter(PH_PAGE_WAIT)
+        for ev in waits:
+            yield ev
+        if obs is not None:
+            obs.pop()
 
     def handle_barrier(self, msg):
         """Comm-thread handler for the 'bar' channel."""
@@ -1342,10 +1276,10 @@ class DsmNode:
                 # late or duplicate arrival for an epoch already released:
                 # drop it instead of resurrecting a ghost arrivals entry
                 # that could never reach quorum again
-                tr = self.sim.trace
-                if tr is not None:
-                    tr.instant("dsm.barrier", "drop-late", node=self.id,
-                               epoch=epoch, src=msg.src)
+                obs = self.sim.obs
+                if obs is not None:
+                    obs.instant("dsm.barrier", "drop-late", node=self.id,
+                                epoch=epoch, src=msg.src)
                 return
             if msg.src != self.id:
                 self.stats.barrier_arrivals_rx += 1
@@ -1373,13 +1307,13 @@ class DsmNode:
             if self._fanin and self._bar_children:
                 # fan the departure out down the tree before waking local
                 # threads — the deeper subtrees' latency dominates
-                tr = self.sim.trace
+                obs = self.sim.obs
                 fwd_nb = msg.nbytes - self.net.HEADER_BYTES
                 for dst in self._bar_children:
                     self.stats.barrier_relays += 1
-                    if tr is not None:
-                        tr.instant("dsm.barrier", "fanout", node=self.id,
-                                   epoch=epoch, dst=dst)
+                    if obs is not None:
+                        obs.instant("dsm.barrier", "fanout", node=self.id,
+                                    epoch=epoch, dst=dst)
                     yield from self.net.send(self.id, dst, fwd_nb, msg.payload,
                                              tag=("bar", "dep", epoch))
             ev = self._bar_wait.pop(epoch)
@@ -1425,11 +1359,11 @@ class DsmNode:
             payload = (self.id, writers, agg["bytes"], agg["fetched"])
         else:
             payload = (self.id, writers, None, None)
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.barrier", "relay", node=self.id, epoch=epoch,
-                       pages=len(writers), pairs=pairs,
-                       subtree=1 + len(self._bar_children))
+        obs = self.sim.obs
+        if obs is not None:
+            obs.instant("dsm.barrier", "relay", node=self.id, epoch=epoch,
+                        pages=len(writers), pairs=pairs,
+                        subtree=1 + len(self._bar_children))
         if self._bar_children:
             self.stats.barrier_relays += 1
         yield from self.net.send(self.id, self._bar_parent, nb, payload,
@@ -1455,7 +1389,7 @@ class DsmNode:
     def _release_epoch(self, epoch: int, writers_by_page):
         """Master: decide home migration, build the departure, send it —
         to every node directly (flat) or down the tree (hierarchical)."""
-        tr = self.sim.trace
+        obs = self.sim.obs
         new_homes: Dict[int, int] = {}
         if self._accel_adaptive:
             for page, writers in writers_by_page.items():
@@ -1474,10 +1408,10 @@ class DsmNode:
                 ):
                     new_homes[page] = best_writer
                     self.system.stats_home_migrations += 1
-                    if tr is not None:
-                        tr.instant("dsm.page", "home-migrate", node=self.id,
-                                   page=page, src=old_home, dst=best_writer,
-                                   epoch=epoch, adaptive=True)
+                    if obs is not None:
+                        obs.instant("dsm.page", "home-migrate", node=self.id,
+                                    page=page, src=old_home, dst=best_writer,
+                                    epoch=epoch, adaptive=True)
         elif self.config.home_migration:
             for page, writers in writers_by_page.items():
                 old_home = self.home[page]
@@ -1486,9 +1420,9 @@ class DsmNode:
                     if sole != old_home:
                         new_homes[page] = sole
                         self.system.stats_home_migrations += 1
-                        if tr is not None:
-                            tr.instant("dsm.page", "home-migrate", node=self.id,
-                                       page=page, src=old_home, dst=sole, epoch=epoch)
+                        if obs is not None:
+                            obs.instant("dsm.page", "home-migrate", node=self.id,
+                                        page=page, src=old_home, dst=sole, epoch=epoch)
                 # multiple writers: current home keeps highest priority (§5.2.2)
         if self._accel_adaptive:
             # Push plan: for every written page, the readers that fetched
@@ -1515,17 +1449,17 @@ class DsmNode:
                 )
                 if readers:
                     push_plan[page] = readers
-            if tr is not None:
-                tr.instant("dsm.barrier", "release", node=self.id, epoch=epoch,
-                           pages=len(writers_by_page), migrations=len(new_homes),
-                           pushes=len(push_plan))
+            if obs is not None:
+                obs.instant("dsm.barrier", "release", node=self.id, epoch=epoch,
+                            pages=len(writers_by_page), migrations=len(new_homes),
+                            pushes=len(push_plan))
             payload = (writers_by_page, new_homes, push_plan)
             nb = (16 + 16 * len(writers_by_page) + 8 * len(new_homes)
                   + 8 * sum(len(v) for v in push_plan.values()))
         else:
-            if tr is not None:
-                tr.instant("dsm.barrier", "release", node=self.id, epoch=epoch,
-                           pages=len(writers_by_page), migrations=len(new_homes))
+            if obs is not None:
+                obs.instant("dsm.barrier", "release", node=self.id, epoch=epoch,
+                            pages=len(writers_by_page), migrations=len(new_homes))
             payload = (writers_by_page, new_homes)
             nb = 16 + 16 * len(writers_by_page) + 8 * len(new_homes)
         # small CPU cost for the merge itself
@@ -1533,9 +1467,9 @@ class DsmNode:
         self._bar_released = max(self._bar_released, epoch)
         if self._fanin:
             for dst in self._bar_children:
-                if tr is not None:
-                    tr.instant("dsm.barrier", "fanout", node=self.id,
-                               epoch=epoch, dst=dst)
+                if obs is not None:
+                    obs.instant("dsm.barrier", "fanout", node=self.id,
+                                epoch=epoch, dst=dst)
                 yield from self.net.send(self.id, dst, nb, payload,
                                          tag=("bar", "dep", epoch))
             # the master's own departure is local: wake the waiting thread
@@ -1590,40 +1524,30 @@ class DsmNode:
         ev = self._pending_event(req_id)
         if manager != self.id:
             self.stats.lock_remote_acquires += 1
-        tr = self.sim.trace
         t0 = self.sim.now
-        prof = self.sim.prof
-        if prof is not None:
+        obs = self.sim.obs
+        if obs is not None:
             # request-to-grant, spin slices included (they surface as
             # *active* lock-wait — the KDSM busy-wait anomaly of Fig. 7)
-            prof.push(PH_LOCK_WAIT)
-        try:
-            yield from self.net.send(
-                self.id, manager, 12, (lock_id, self.id), tag=("lk", "acq", req_id)
-            )
-            if self.config.lock_spin:
-                # KDSM busy-wait client: burn CPU slices until granted (§6.1).
-                while not ev.triggered:
-                    yield from self.node.busy_cpu(self.config.spin_slice)
-            granted = yield ev
-        finally:
-            if prof is not None:
-                prof.pop()
+            obs.on_enter(PH_LOCK_WAIT)
+        yield from self.net.send(
+            self.id, manager, 12, (lock_id, self.id), tag=("lk", "acq", req_id)
+        )
+        if self.config.lock_spin:
+            # KDSM busy-wait client: burn CPU slices until granted (§6.1).
+            while not ev.triggered:
+                yield from self.node.busy_cpu(self.config.spin_slice)
+        granted = yield ev
         if self._accel_piggyback:
             notices, piggy = granted
         else:
             notices, piggy = granted, None
-        if prof is not None:
-            prof.on_lock_acquired(
-                lock_id, self.sim.now - t0, remote=manager != self.id
-            )
-        mx = self.sim.metrics
-        if mx is not None:
-            mx.on_lock_wait(lock_id, self.sim.now - t0)
+        if obs is not None:
+            obs.pop()
+            obs.on_lock_acquired(lock_id, self.sim.now - t0, manager != self.id)
+            obs.on_lock_acquire(("dsm-lock", lock_id))
+            # grant time, for the hold latency reported at release
             self._lock_grant_t[lock_id] = self.sim.now
-        san = self.sim.san
-        if san is not None:
-            san.on_lock_acquire(("dsm-lock", lock_id))
         inval_before = self.stats.invalidations
         piggy_before = self.stats.diffs_piggybacked
         done: Set[int] = set()
@@ -1649,16 +1573,16 @@ class DsmNode:
                 pev = self._expected_frames.pop(page, None)
                 if pev is not None and not pev.triggered:
                     pev.succeed()
-        if tr is not None:
+        if obs is not None:
             if piggy is None:
-                tr.span(
+                obs.span(
                     "dsm.lock", "acquire", t0, node=self.id, lock=lock_id,
                     manager=manager, remote=manager != self.id,
                     notices=len(notices),
                     invalidated=self.stats.invalidations - inval_before,
                 )
             else:
-                tr.span(
+                obs.span(
                     "dsm.lock", "acquire", t0, node=self.id, lock=lock_id,
                     manager=manager, remote=manager != self.id,
                     notices=len(notices),
@@ -1669,22 +1593,18 @@ class DsmNode:
     def _apply_piggyback(self, page: int, chain):
         """Apply a grant-piggybacked diff chain to a valid READ_ONLY copy
         (log order = lock order, so the final bytes match the home)."""
-        prof = self.sim.prof
-        if prof is not None:
-            prof.push(PH_FAULT_WORK)
-        try:
-            view = self._page_view(page)
-            for diff in chain:
-                yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
-                apply_diff(view, diff)
-        finally:
-            if prof is not None:
-                prof.pop()
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_enter(PH_FAULT_WORK)
+        view = self._page_view(page)
+        for diff in chain:
+            yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
+            apply_diff(view, diff)
         self.stats.diffs_piggybacked += len(chain)
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.page", "piggy-apply", node=self.id,
-                       page=page, diffs=len(chain))
+        if obs is not None:
+            obs.pop()
+            obs.instant("dsm.page", "piggy-apply", node=self.id,
+                        page=page, diffs=len(chain))
 
     def lock_release(self, lock_id: int):
         """Flush modifications, hand write notices to the manager.
@@ -1694,16 +1614,13 @@ class DsmNode:
         ships complete per-page chains with later grants, so predicted
         acquirers patch their copies instead of faulting."""
         manager = self.lock_manager_of(lock_id)
-        tr = self.sim.trace
         t0 = self.sim.now
-        mx = self.sim.metrics
-        if mx is not None:
+        obs = self.sim.obs
+        if obs is not None:
             grant_t = self._lock_grant_t.pop(lock_id, None)
             if grant_t is not None:
-                mx.on_lock_hold(lock_id, t0 - grant_t)
-        san = self.sim.san
-        if san is not None:
-            san.on_lock_release(("dsm-lock", lock_id))
+                obs.on_lock_hold(lock_id, t0 - grant_t)
+            obs.on_lock_release(("dsm-lock", lock_id))
         piggy: Optional[Dict[int, list]] = {} if self._accel_piggyback else None
         notices = yield from self._flush_dirty(collect=piggy)
         self._close_interval()
@@ -1714,23 +1631,15 @@ class DsmNode:
         else:
             payload = (lock_id, notices, piggy)
             nb += sum(diff_nbytes(d) for d in piggy.values()) + 8 * len(piggy)
-        prof = self.sim.prof
-        if prof is None:
-            yield from self.net.send(
-                self.id, manager, nb, payload, tag=("lk", "rel", self._next_req())
-            )
-        else:
+        if obs is not None:
             # the notice hand-off is part of the release (flush) cost
-            prof.push(PH_FLUSH)
-            try:
-                yield from self.net.send(
-                    self.id, manager, nb, payload, tag=("lk", "rel", self._next_req())
-                )
-            finally:
-                prof.pop()
-        if tr is not None:
-            tr.span("dsm.lock", "release", t0, node=self.id, lock=lock_id,
-                    manager=manager, notices=len(notices))
+            obs.on_enter(PH_FLUSH)
+        yield from self.net.send(
+            self.id, manager, nb, payload, tag=("lk", "rel", self._next_req())
+        )
+        if obs is not None:
+            obs.on_leave("dsm.lock", "release", t0, node=self.id, lock=lock_id,
+                         manager=manager, notices=len(notices))
 
     def handle_lock(self, msg):
         """Comm-thread handler for the 'lk' channel (manager side)."""
@@ -1770,10 +1679,6 @@ class DsmNode:
         self.stats.lock_grants += 1
         if requester != self.id:
             self.stats.lock_remote_grants += 1
-        prof = self.sim.prof
-        if prof is not None:
-            # manager-side grant: the hot-lock table counts token hops
-            prof.on_lock_grant(lock_id, requester)
         start = log.cursor_of(requester)
         pending = log.unseen_by(requester)
         # A node's own notices carry no information for it (the writer never
@@ -1786,21 +1691,20 @@ class DsmNode:
         piggy = None
         if self._accel_piggyback:
             piggy = self._build_piggyback(log, requester, start, pending)
-        tr = self.sim.trace
-        if tr is not None:
+        obs = self.sim.obs
+        if obs is not None:
             if piggy is None:
-                tr.instant("dsm.lock", "grant", node=self.id, lock=lock_id,
-                           requester=requester, notices=len(notices))
+                obs.instant("dsm.lock", "grant", node=self.id, lock=lock_id,
+                            requester=requester, notices=len(notices))
             else:
-                tr.instant("dsm.lock", "grant", node=self.id, lock=lock_id,
-                           requester=requester, notices=len(notices),
-                           piggy=len(piggy))
-        san = self.sim.san
-        if san is not None:
-            san.on_lock_grant(self.id, lock_id, requester,
+                obs.instant("dsm.lock", "grant", node=self.id, lock=lock_id,
+                            requester=requester, notices=len(notices),
+                            piggy=len(piggy))
+            # manager-side grant: notice-cursor checks, token-hop counts
+            obs.on_lock_grant(self.id, lock_id, requester,
                               start, log.cursor_of(requester), len(log))
             if piggy:
-                san.on_lock_piggyback(
+                obs.on_lock_piggyback(
                     self.id, lock_id, requester,
                     set(piggy), {wn.page for wn in notices},
                 )

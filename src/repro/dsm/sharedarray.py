@@ -112,9 +112,9 @@ class NodeArrayView:
         addr, nbytes = self.array._flat_range(s, e)
         if not self.node.try_fast_access(addr, nbytes, False):
             yield from self.node.acquire_read(addr, nbytes)
-        san = self.node.sim.san
-        if san is not None and not self.array.segment.object_granularity:
-            san.on_access(self.node.id, addr, nbytes, False,
+        obs = self.node.sim.obs
+        if obs is not None and not self.array.segment.object_granularity:
+            obs.on_access(self.node.id, addr, nbytes, False,
                           f"{self.array.segment.name}[{s}:{e}]")
         view = self._np_view(s, e)
         view.flags.writeable = False
@@ -128,9 +128,9 @@ class NodeArrayView:
         addr, nbytes = self.array._flat_range(s, e)
         if not self.node.try_fast_access(addr, nbytes, True):
             yield from self.node.acquire_write(addr, nbytes)
-        san = self.node.sim.san
-        if san is not None and not self.array.segment.object_granularity:
-            san.on_access(self.node.id, addr, nbytes, True,
+        obs = self.node.sim.obs
+        if obs is not None and not self.array.segment.object_granularity:
+            obs.on_access(self.node.id, addr, nbytes, True,
                           f"{self.array.segment.name}[{s}:{e}]")
         return self._np_view(s, e)
 

@@ -133,7 +133,7 @@ def build_runtime(spec: RunSpec, observe: bool = False):
         pool_bytes=spec.pool_bytes,
         protocol_accel=spec.accel,
         hierarchical=spec.hier,
-        sanitize=True if spec.sanitize else None,
+        sanitize=spec.sanitize,
         fault_plan=plan,
         chaos_seed=spec.chaos_seed,
         metrics=bool(observe and spec.metrics),
@@ -228,7 +228,6 @@ def _single_run(spec: RunSpec, observe: bool) -> Dict:
     if prof is not None:
         from repro.profile.phases import PH_BARRIER, PH_LOCK_WAIT
 
-        prof.finalize()
         totals = prof.totals()
         out["phases"] = prof.group_fractions(ndigits=4)
         out["thread_s"] = sum(totals.values())

@@ -1,8 +1,9 @@
 """Live metrics for the ParADE reproduction: registry, sampler, exports.
 
-The subsystem attaches to a running simulation as ``sim.metrics`` with
-the same zero-cost-when-detached contract as ``trace`` / ``san`` /
-``prof`` / ``chaos``, samples every layer on a deterministic
+The subsystem is one of the observers on a simulation's single hook
+path (``sim.obs``, :mod:`repro.sim.observers`) with the same
+zero-cost-when-detached contract as the recorder, the sanitizer and
+the profiler, samples every layer on a deterministic
 virtual-time grid, and exposes the result as Prometheus text, JSON
 time-series, CSV, or Chrome counter tracks.  ``python -m repro run <app>
 --metrics`` prints the workload scorecard; ``python -m repro.metrics``

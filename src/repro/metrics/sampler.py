@@ -1,9 +1,9 @@
 """The live metrics object: registry + deterministic periodic sampler.
 
-:class:`Metrics` attaches to a :class:`~repro.sim.Simulator` exactly the
-way ``trace`` / ``san`` / ``prof`` / ``chaos`` do — a nullable attribute
-(``sim.metrics``) guarded at every hook site, so a detached run pays one
-attribute load and one compare per guarded site and nothing else.
+:class:`Metrics` is one of the observers on the simulator's single hook
+path (:mod:`repro.sim.observers`): sites guard on ``sim.obs is None``, so
+a detached run pays one attribute load and one compare per guarded site
+and nothing else.
 
 Sampling is **passive**: the simulator calls :meth:`Metrics.on_step`
 once per processed event (when attached), and the sampler snapshots its
@@ -14,7 +14,8 @@ sequence numbers are consumed — the event schedule of an observed run is
 pin virtual times with metrics on.  The cost of that passivity: samples
 land on the first event *at or after* each grid point (exactly the grid
 under any workload that processes events steadily), and a quiet tail
-yields no samples until :meth:`finalize` takes the closing one.
+yields no samples until :meth:`finalize` takes the closing one, at the
+run's elapsed time.
 
 Sources are ``(prefix, fn)`` pairs where ``fn() -> {name: number}``;
 each key becomes the time-series ``prefix/name``.  The stock sources for
@@ -31,6 +32,7 @@ import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.registry import Histogram, MetricsRegistry
+from repro.sim.observers import Observer
 
 #: series name of one sampled value stream
 Series = Tuple[List[float], List[float]]
@@ -42,13 +44,13 @@ LOCK_HOLD = "lock_hold_seconds"
 BARRIER_EPOCH = "barrier_epoch_seconds"
 
 
-class Metrics:
-    """Live metrics for one simulator; installs itself as ``sim.metrics``.
+class Metrics(Observer):
+    """Live metrics for one simulator; joins ``sim.obs``.
 
     Parameters
     ----------
     sim : the :class:`~repro.sim.Simulator` whose virtual clock drives
-        the sampling grid; ``sim.metrics`` is set unless ``attach=False``.
+        the sampling grid; joins ``sim.obs`` unless ``attach=False``.
     period : virtual seconds between samples (the grid spacing).
     max_samples : per-series bound; once reached, further samples of that
         series are dropped (``n_dropped`` counts them) so memory stays
@@ -87,16 +89,6 @@ class Metrics:
             self.attach()
 
     # -- lifecycle ------------------------------------------------------
-    def attach(self) -> "Metrics":
-        """Install as ``sim.metrics`` so hooks and the step sampler find us."""
-        self.sim.metrics = self
-        return self
-
-    def detach(self) -> "Metrics":
-        if getattr(self.sim, "metrics", None) is self:
-            self.sim.metrics = None
-        return self
-
     def add_source(self, prefix: str, fn: Callable[[], Dict[str, float]]) -> None:
         """Register a snapshot source; its keys become ``prefix/name``
         series.  Sources must only *read* state — they run inside the
@@ -131,11 +123,13 @@ class Metrics:
         s[0].append(t)
         s[1].append(float(v))
 
-    def finalize(self) -> "Metrics":
-        """Take the closing sample at the current virtual time (idempotent
-        at a given time) and stamp ``finalized_at``."""
-        now = self.sim.now
-        if self.finalized_at != now:
+    def finalize(self, now: Optional[float] = None) -> "Metrics":
+        """Take the closing sample at *now* (default: the current virtual
+        time) and stamp ``finalized_at``.  The first call wins: a sampler
+        that :meth:`ParadeRuntime.run <repro.runtime.ParadeRuntime.run>`
+        closed at the run's end keeps that end."""
+        if self.finalized_at is None:
+            now = self.sim.now if now is None else now
             self.sample(now)
             self.finalized_at = now
         return self
@@ -151,8 +145,9 @@ class Metrics:
         return out
 
     # -- network hooks ---------------------------------------------------
-    def on_net_send(self, src: int, dst: int, nbytes: int) -> None:
+    def on_send(self, msg) -> None:
         """A frame entered the network (loopback included)."""
+        src, dst, nbytes = msg.src, msg.dst, msg.nbytes
         ent = self.inflight.get((src, dst))
         if ent is None:
             ent = self.inflight[(src, dst)] = [0, 0]
@@ -163,9 +158,12 @@ class Metrics:
         self.registry.counter("net_frames_total", src=src, dst=dst).inc()
         self.registry.counter("net_bytes_total", src=src, dst=dst).inc(nbytes)
 
-    def on_net_deliver(self, src: int, dst: int, nbytes: int, latency: float) -> None:
-        """The frame reached the destination inbox *latency* virtual
-        seconds after the send call started (queueing + wire + recovery)."""
+    def on_deliver(self, msg, flight_t0) -> None:
+        """The frame reached the destination inbox: its latency is the
+        virtual time since the send call started (queueing + wire +
+        recovery)."""
+        src, dst, nbytes = msg.src, msg.dst, msg.nbytes
+        latency = self.sim.now - msg.send_time
         ent = self.inflight.get((src, dst))
         if ent is not None:
             ent[0] -= 1
@@ -175,7 +173,7 @@ class Metrics:
         self.registry.histogram(NET_LATENCY).observe(latency)
 
     # -- DSM hooks -------------------------------------------------------
-    def on_lock_wait(self, lock_id: int, wait: float) -> None:
+    def on_lock_acquired(self, lock_id: int, wait: float, remote: bool) -> None:
         """Request-to-grant latency of one distributed-lock acquire."""
         self.registry.histogram(LOCK_WAIT, lock=lock_id).observe(wait)
 

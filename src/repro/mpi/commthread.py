@@ -66,11 +66,12 @@ class CommThread:
         recv_cpu_time = self.network.recv_cpu_time
         handlers = self._handlers
         priority = self.CPU_PRIORITY
+        network = self.network
         while True:
             msg = yield inbox_get()
             if msg is POISON:
                 return
-            ch = sim.chaos
+            ch = network.chaos
             if ch is not None:
                 # injected comm-thread stall: the service thread wedges
                 # (page-out, interrupt storm ...) before touching the frame
@@ -78,31 +79,26 @@ class CommThread:
                 if stall > 0.0:
                     yield sim.timeout(stall)
             t0 = sim.now
-            prof = sim.prof
-            if prof is not None:
+            obs = sim.obs
+            if obs is not None:
                 from repro.profile.phases import PH_COMM_SERVICE
 
                 # the whole drain (recv CPU cost + handler) is one service
                 # phase; busy_cpu slices inside inherit the label as active
-                prof.push(PH_COMM_SERVICE)
-            try:
-                yield from busy_cpu(recv_cpu_time(msg.nbytes), priority=priority)
-                channel = msg.tag[0] if isinstance(msg.tag, tuple) else msg.tag
-                handler = handlers.get(channel)
-                if handler is None:
-                    raise RuntimeError(
-                        f"node {self.node.id}: no handler for channel {channel!r} (msg {msg!r})"
-                    )
-                yield from handler(msg)
-            finally:
-                if prof is not None:
-                    prof.pop()
+                obs.on_enter(PH_COMM_SERVICE)
+            yield from busy_cpu(recv_cpu_time(msg.nbytes), priority=priority)
+            channel = msg.tag[0] if isinstance(msg.tag, tuple) else msg.tag
+            handler = handlers.get(channel)
+            if handler is None:
+                raise RuntimeError(
+                    f"node {self.node.id}: no handler for channel {channel!r} (msg {msg!r})"
+                )
+            yield from handler(msg)
             self.messages_handled += 1
             self.service_time += sim.now - t0
-            tr = sim.trace
-            if tr is not None:
+            if obs is not None:
                 # one span per drained message: recv CPU cost + handler run
-                tr.span(
+                obs.on_leave(
                     "mpi", "service", t0, node=self.node.id,
                     channel=str(channel), nbytes=msg.nbytes, src=msg.src,
                 )

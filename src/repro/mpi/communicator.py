@@ -16,6 +16,7 @@ from typing import Any, List, Optional
 from repro.mpi.datatypes import nbytes_of
 from repro.mpi.matching import MatchQueue, ANY_SOURCE, ANY_TAG
 from repro.mpi.ops import ReduceOp, SUM
+from repro.profile.phases import PH_MPI_COLL
 
 
 class Communicator:
@@ -85,9 +86,9 @@ class RankComm:
         if not (0 <= dest < self.size):
             raise ValueError(f"invalid destination rank {dest}")
         self.comm.n_p2p += 1
-        san = self.comm.sim.san
-        if san is not None:
-            san.on_msg_send(self._hb_key(self.rank, dest, tag))
+        obs = self.comm.sim.obs
+        if obs is not None:
+            obs.on_msg_send(self._hb_key(self.rank, dest, tag))
         yield from self._net.send(
             self.rank, dest, nbytes_of(value), value, tag=(self.comm._channel, tag)
         )
@@ -95,17 +96,17 @@ class RankComm:
     def recv(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG):
         """Blocking receive; returns the payload."""
         src, t, payload = yield self._queue.post(source, tag)
-        san = self.comm.sim.san
-        if san is not None:
-            san.on_msg_recv(self._hb_key(src, self.rank, t))
+        obs = self.comm.sim.obs
+        if obs is not None:
+            obs.on_msg_recv(self._hb_key(src, self.rank, t))
         return payload
 
     def recv_with_status(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG):
         """Blocking receive; returns (payload, source, tag)."""
         src, t, payload = yield self._queue.post(source, tag)
-        san = self.comm.sim.san
-        if san is not None:
-            san.on_msg_recv(self._hb_key(src, self.rank, t))
+        obs = self.comm.sim.obs
+        if obs is not None:
+            obs.on_msg_recv(self._hb_key(src, self.rank, t))
         return payload, src, t
 
     def irecv(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG):
@@ -122,21 +123,13 @@ class RankComm:
     def bcast(self, value: Any, root: int = 0):
         """MPI_Bcast via binomial tree; returns the broadcast value."""
         sim = self.comm.sim
-        tr = sim.trace
         t0 = sim.now
-        prof = sim.prof
-        if prof is None:
-            result = yield from self._bcast(value, root)
-        else:
-            from repro.profile.phases import PH_MPI_COLL
-
-            prof.push(PH_MPI_COLL)
-            try:
-                result = yield from self._bcast(value, root)
-            finally:
-                prof.pop()
-        if tr is not None:
-            tr.span("mpi", "bcast", t0, node=self.rank, root=root)
+        obs = sim.obs
+        if obs is not None:
+            obs.on_enter(PH_MPI_COLL)
+        result = yield from self._bcast(value, root)
+        if obs is not None:
+            obs.on_leave("mpi", "bcast", t0, node=self.rank, root=root)
         return result
 
     def _bcast(self, value: Any, root: int):
@@ -165,21 +158,13 @@ class RankComm:
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0):
         """MPI_Reduce via binomial tree; root returns the reduction, others None."""
         sim = self.comm.sim
-        tr = sim.trace
         t0 = sim.now
-        prof = sim.prof
-        if prof is None:
-            result = yield from self._reduce(value, op, root)
-        else:
-            from repro.profile.phases import PH_MPI_COLL
-
-            prof.push(PH_MPI_COLL)
-            try:
-                result = yield from self._reduce(value, op, root)
-            finally:
-                prof.pop()
-        if tr is not None:
-            tr.span("mpi", "reduce", t0, node=self.rank, root=root)
+        obs = sim.obs
+        if obs is not None:
+            obs.on_enter(PH_MPI_COLL)
+        result = yield from self._reduce(value, op, root)
+        if obs is not None:
+            obs.on_leave("mpi", "reduce", t0, node=self.rank, root=root)
         return result
 
     def _reduce(self, value: Any, op: ReduceOp, root: int):
@@ -214,12 +199,12 @@ class RankComm:
         drop explicit barriers (§5.2.1).
         """
         sim = self.comm.sim
-        tr = sim.trace
         t0 = sim.now
         acc = yield from self.reduce(value, op=op, root=0)
         result = yield from self.bcast(acc, root=0)
-        if tr is not None:
-            tr.span("mpi", "allreduce", t0, node=self.rank)
+        obs = sim.obs
+        if obs is not None:
+            obs.span("mpi", "allreduce", t0, node=self.rank)
         return result
 
     def barrier(self):

@@ -1,7 +1,8 @@
 """Virtual-time profiler: phase attribution, critical path, hot reports.
 
-Attach a :class:`Profiler` to a simulator before running (zero cost when
-detached, like ``Simulator.trace``), then snapshot a
+Attach a :class:`Profiler` to a simulator before running (it joins the
+single observer hook path ``sim.obs``, zero cost when detached), then
+snapshot a
 :class:`ProfileReport`::
 
     rt = ParadeRuntime(...)

@@ -1,19 +1,23 @@
 """The virtual-time profiler.
 
-Attaches to a :class:`~repro.sim.Simulator` the same zero-cost way
-``Simulator.trace`` and ``Simulator.san`` do::
+One of the observers on the simulator's single hook path
+(:mod:`repro.sim.observers`)::
 
-    prof = Profiler(sim)          # installs itself as sim.prof
+    prof = Profiler(sim)          # joins sim.obs
     ... run the program ...
-    prof.finalize()               # close open phases at final virtual time
+    prof.finalize()               # close open phases (ParadeRuntime.run
+                                  # already closed them at the run's end)
     data = prof.snapshot()        # ProfileData: ledgers, path, hot tables
 
-Instrumentation sites throughout the stack guard on ``sim.prof is None``
+Instrumentation sites throughout the stack guard on ``sim.obs is None``
 (one load and one compare — the entire cost when detached) and drive a
 per-thread **phase stack**:
 
-* ``push(phase)`` starts a nested phase on the calling simulation thread;
-* ``pop()`` returns to the enclosing phase;
+* ``on_enter(phase)`` starts a nested phase on the calling simulation
+  thread;
+* ``pop()`` returns to the enclosing phase; ``on_leave(cat, name, t0,
+  **attrs)`` does the same and is, on the same hook, the trace recorder's
+  span of the region;
 * ``replace(phase, active)`` swaps the top (CPU grant: cpu-wait → busy);
 * ``replace_busy()`` swaps the top for an *active* copy of the enclosing
   phase — how raw protocol CPU bursts inherit their context (a diff
@@ -26,6 +30,10 @@ exactly to the thread's virtual lifetime.  With ``record_intervals`` the
 closed slices are also kept as a flat interval list — the input of the
 critical-path sweep (:mod:`repro.profile.critical_path`) and the
 Chrome-counter export (:mod:`repro.profile.export`).
+
+``finalize(t)`` closes the books (``ParadeRuntime.run`` calls it at the
+run's elapsed time); phase transitions after that are ignored, so
+nothing past the run's end is attributed.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from repro.profile.phases import (
     group_of,
     node_of_tid,
 )
+from repro.sim.observers import Observer
 from repro.util.tables import percentile
 
 #: an emitted interval: (t0, t1, tid, phase, active)
@@ -91,13 +100,13 @@ class PageStats:
         self.diff_bytes = 0
 
 
-class Profiler:
+class Profiler(Observer):
     """Bounded-state virtual-time profiler, bound to one simulator.
 
     Parameters
     ----------
     sim : the :class:`~repro.sim.Simulator` whose clock stamps phases; the
-        profiler installs itself as ``sim.prof`` unless ``attach=False``.
+        profiler joins ``sim.obs`` unless ``attach=False``.
     record_intervals : keep the flat interval stream (needed for the
         critical path and the Chrome-counter export; ledgers and hot
         tables work without it).
@@ -121,17 +130,6 @@ class Profiler:
         if attach:
             self.attach()
 
-    # -- lifecycle ------------------------------------------------------
-    def attach(self) -> "Profiler":
-        """Install as ``sim.prof`` so instrumentation sites find us."""
-        self.sim.prof = self
-        return self
-
-    def detach(self) -> "Profiler":
-        if getattr(self.sim, "prof", None) is self:
-            self.sim.prof = None
-        return self
-
     # -- thread state ---------------------------------------------------
     def _state(self) -> _ThreadState:
         proc = self.sim.active_process
@@ -143,7 +141,10 @@ class Profiler:
         return st
 
     def _close(self, st: _ThreadState, now: float) -> None:
-        """Attribute [st.last, now) to the current top phase."""
+        """Attribute [st.last, now) to the current top phase (nothing once
+        the books are closed: late pops of the run's drain)."""
+        if self.finalized_at is not None:
+            return
         dur = now - st.last
         if dur > 0.0:
             phase, active = st.stack[-1] if st.stack else (PH_IDLE, False)
@@ -158,7 +159,17 @@ class Profiler:
         self._close(st, self.sim.now)
         st.stack.append((phase, active))
 
+    #: a region opens with a phase push
+    on_enter = push
+
     def pop(self) -> None:
+        st = self._state()
+        self._close(st, self.sim.now)
+        if st.stack:
+            st.stack.pop()
+
+    def on_leave(self, cat: str, name: str, t0: float, **attrs) -> None:
+        """Region close: pop (the recorder spans the region on this hook)."""
         st = self._state()
         self._close(st, self.sim.now)
         if st.stack:
@@ -196,17 +207,22 @@ class Profiler:
         if label not in self.threads:
             self.threads[label] = _ThreadState(label, self.sim.now)
 
-    def on_thread_end(self, label: str) -> None:
+    def on_end(self, label: str, ok: bool) -> None:
         st = self.threads.get(label)
         if st is not None and st.end is None:
             self._close(st, self.sim.now)
             st.end = self.sim.now
             st.stack.clear()
 
-    def finalize(self) -> "Profiler":
-        """Close every open phase at the current virtual time (idempotent:
-        re-finalizing at the same time adds nothing)."""
-        now = self.sim.now
+    def finalize(self, now: Optional[float] = None) -> "Profiler":
+        """Close every open phase at *now* (default: the current virtual
+        time).  The first call wins: a profiler that
+        :meth:`ParadeRuntime.run <repro.runtime.ParadeRuntime.run>` closed
+        at the run's end keeps that end."""
+        if self.finalized_at is not None:
+            return self
+        if now is None:
+            now = self.sim.now
         for st in self.threads.values():
             if st.end is None:
                 self._close(st, now)
@@ -216,14 +232,18 @@ class Profiler:
         return self
 
     # -- network hooks ---------------------------------------------------
-    def on_net_flight(self, t0: float, t1: float) -> None:
-        """Record one message's switch-propagation interval."""
+    def on_deliver(self, msg, flight_t0: Optional[float]) -> None:
+        """Record one remote message's switch-propagation interval
+        [*flight_t0*, now); loopback deliveries (``None``) never flew."""
+        if flight_t0 is None:
+            return
+        t1 = self.sim.now
         self.net_flights += 1
-        self.net_flight_s += t1 - t0
-        if self.record_intervals and t1 > t0:
+        self.net_flight_s += t1 - flight_t0
+        if self.record_intervals and t1 > flight_t0:
             from repro.profile.phases import PH_NET_FLIGHT
 
-            self.net_intervals.append((t0, t1, NET_TID, PH_NET_FLIGHT, True))
+            self.net_intervals.append((flight_t0, t1, NET_TID, PH_NET_FLIGHT, True))
 
     def on_retransmit_wait(self, t0: float, t1: float) -> None:
         """Record the dead time preceding one reliability-layer retransmit:
@@ -278,7 +298,8 @@ class Profiler:
             ls.remote_acquires += 1
         ls.waits.append(wait)
 
-    def on_lock_grant(self, lock_id: int, requester: int) -> None:
+    def on_lock_grant(self, manager: int, lock_id: int, requester: int,
+                      start: int, end: int, log_len: int) -> None:
         """Manager-side grant: counts holder-to-holder token hops."""
         ls = self._lock(lock_id)
         if ls.last_holder is not None and ls.last_holder != requester:

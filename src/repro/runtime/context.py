@@ -14,6 +14,7 @@ from typing import Any, Callable, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.mpi.ops import ReduceOp, SUM
+from repro.profile.phases import PH_BARRIER
 from repro.runtime.scheduler import static_chunk, static_chunks_round_robin
 
 
@@ -82,26 +83,18 @@ class ThreadCtx(_CtxBase):
     # -- barrier -------------------------------------------------------------
     def barrier(self):
         """#pragma omp barrier — hierarchical (pthread + DSM barrier)."""
-        tr = self.sim.trace
         t0 = self.sim.now
         key = self._key("bar")
-        prof = self.sim.prof
-        if prof is None:
-            yield from self.team.barrier(key)
-        else:
-            from repro.profile.phases import PH_BARRIER
-
+        obs = self.sim.obs
+        if obs is not None:
             # arrival-to-departure, covering the local gather and (on the
             # leader) the inter-node DSM barrier
-            prof.push(PH_BARRIER)
-            try:
-                yield from self.team.barrier(key)
-            finally:
-                prof.pop()
-        if tr is not None:
+            obs.on_enter(PH_BARRIER)
+        yield from self.team.barrier(key)
+        if obs is not None:
             # per-thread span: arrival-to-departure, showing barrier fan-in skew
-            tr.span("runtime", "omp-barrier", t0, node=self.node_id,
-                    tid_local=self.local_tid, encounter=key[1])
+            obs.on_leave("runtime", "omp-barrier", t0, node=self.node_id,
+                         tid_local=self.local_tid, encounter=key[1])
 
     # -- critical / atomic ----------------------------------------------------
     def critical_update(self, shared_scalar, delta, op: ReduceOp = SUM):

@@ -15,7 +15,9 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
+from repro.profile.phases import PH_FORK_JOIN
 from repro.sim import AllOf
+from repro.sim.observers import close as close_observers
 from repro.cluster import Cluster, ClusterConfig
 from repro.mpi import CommThread, Communicator
 from repro.dsm import DsmSystem, SharedArray, SharedScalar
@@ -48,12 +50,11 @@ class ParadeRuntime:
         :meth:`DsmConfig.hierarchical` and docs/PERFORMANCE.md "Scaling");
         composes with *protocol_accel*
     cluster_config : hardware model override (interconnect, speeds, costs)
-    sanitize : attach the happens-before sanitizer (overrides
-        ``dsm_config.sanitize`` when given); the attached instance is
-        available as :attr:`sanitizer`
+    sanitize : attach the happens-before sanitizer; the attached
+        instance is available as :attr:`sanitizer`
     profile : attach a virtual-time :class:`~repro.profile.Profiler`;
-        the attached instance is available as :attr:`profiler` (finalized
-        automatically when :meth:`run` returns)
+        the attached instance is available as :attr:`profiler` (closed at
+        the run's elapsed time by :meth:`run`)
     fault_plan : a :class:`~repro.chaos.FaultPlan` to execute the run
         under; builds a :class:`~repro.chaos.ChaosEngine` (available as
         :attr:`chaos`), installs it on the cluster, and reports its
@@ -64,10 +65,7 @@ class ParadeRuntime:
         overriding the plan's ack/retransmit tuning
     metrics : attach a live :class:`~repro.metrics.Metrics` with the
         stock per-layer sources installed (available as :attr:`metrics`,
-        finalized automatically when :meth:`run` returns).  ``None``
-        (the default) defers to the ``PARADE_METRICS`` environment
-        variable: set it to ``1``/``true``/``yes`` to meter any run
-        without touching its driver
+        closed at the run's elapsed time by :meth:`run`)
     metrics_period : sampling grid spacing in virtual seconds
     """
 
@@ -81,12 +79,12 @@ class ParadeRuntime:
         hierarchical: bool = False,
         cluster_config: Optional[ClusterConfig] = None,
         pool_bytes: Optional[int] = None,
-        sanitize: Optional[bool] = None,
+        sanitize: bool = False,
         profile: bool = False,
         fault_plan=None,
         chaos_seed: int = 0,
         reliability=None,
-        metrics: Optional[bool] = None,
+        metrics: bool = False,
         metrics_period: float = 1e-4,
     ):
         if mode not in ("parade", "sdsm"):
@@ -114,7 +112,7 @@ class ParadeRuntime:
         self.comm = Communicator(self.cluster, self.comm_threads)
 
         self.sanitizer = None
-        if dc.sanitize if sanitize is None else sanitize:
+        if sanitize:
             from repro.sanitizer import Sanitizer
 
             self.sanitizer = Sanitizer(
@@ -134,12 +132,6 @@ class ParadeRuntime:
             )
             self.chaos.install(self.cluster)
         self.metrics = None
-        if metrics is None:
-            import os
-
-            metrics = os.environ.get("PARADE_METRICS", "").lower() in (
-                "1", "true", "yes", "on",
-            )
         if metrics:
             from repro.metrics import Metrics, install_default_sources
 
@@ -236,10 +228,10 @@ class ParadeRuntime:
         yield from self.comm.rank(0).bcast(("region", self._region_seq), root=0)
         results = yield from self._run_region_on_node(0)
         self.region_time += self.sim.now - t0
-        tr = self.sim.trace
-        if tr is not None:
-            tr.span("runtime", "region", t0, node=0,
-                    seq=self._region_seq, threads_per_node=tpn)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.span("runtime", "region", t0, node=0,
+                     seq=self._region_seq, threads_per_node=tpn)
         return results
 
     def _agent_loop(self, node_id: int):
@@ -264,26 +256,15 @@ class ParadeRuntime:
             )
             for lt in range(tpn)
         ]
-        san = self.sim.san
-        if san is not None:
-            san.on_fork([p.label for p in procs])
-        prof = self.sim.prof
-        if prof is None:
-            joined = yield AllOf(self.sim, procs)
-        else:
-            from repro.profile.phases import PH_FORK_JOIN
-
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_fork([p.label for p in procs])
             # master/agent waiting for the region's local threads to join
-            prof.push(PH_FORK_JOIN)
-            try:
-                joined = yield AllOf(self.sim, procs)
-            finally:
-                prof.pop()
-        if san is not None:
-            san.on_join([p.label for p in procs])
-        tr = self.sim.trace
-        if tr is not None:
-            tr.span("runtime", "node-region", t0, node=node_id, seq=self._region_seq)
+            obs.on_enter(PH_FORK_JOIN)
+        joined = yield AllOf(self.sim, procs)
+        if obs is not None:
+            obs.on_join([p.label for p in procs])
+            obs.on_leave("runtime", "node-region", t0, node=node_id, seq=self._region_seq)
         return [joined[i] for i in range(len(procs))]
 
     def _thread_main(self, tc: ThreadCtx, body: Callable, args: tuple):
@@ -322,12 +303,13 @@ class ParadeRuntime:
         elapsed = self.sim.now
         for ct in self.comm_threads:
             ct.shutdown()
+        # observers with books to close (profiler, metrics) end at
+        # ``elapsed``: they see the comm-thread shutdowns due then, not the
+        # chaos layer's retransmit settling after it
+        self.sim.run(until=elapsed)
+        close_observers(self.sim, elapsed)
         self.sim.run()
         self._finished = True
-        if self.profiler is not None:
-            self.profiler.finalize()
-        if self.metrics is not None:
-            self.metrics.finalize()
         profile = []
         for n in self.cluster.nodes:
             busy = n.cpus.total_busy_time

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
+from repro.profile.phases import PH_BARRIER, PH_TEAM_WAIT
 from repro.sim import Event, Mutex
 
 
@@ -74,10 +75,10 @@ class NodeTeam:
         generator ``inter_fn(merged)`` and its result is returned to all.
         """
         inst = self._instance(key)
-        san = self.sim.san
-        if san is not None:
+        obs = self.sim.obs
+        if obs is not None:
             # contributor -> leader happens-before edge (gather side)
-            san.on_gather(id(inst))
+            obs.on_gather(id(inst))
         if op is not None:
             if inst.has_partial:
                 inst.partial = op(inst.partial, partial)
@@ -86,33 +87,26 @@ class NodeTeam:
                 inst.has_partial = True
         inst.count += 1
         if inst.count == self.n_local:
-            if san is not None:
-                san.on_gather_leader(id(inst))
+            if obs is not None:
+                obs.on_gather_leader(id(inst))
             result = yield from inter_fn(inst.partial)
             gate = inst.gate
             self._retire(key, inst)
-            if san is not None:
+            if obs is not None:
                 # leader -> waiters edge (gate side); n_local-1 waiters
-                san.on_gate_open(id(gate), self.n_local - 1)
+                obs.on_gate_open(id(gate), self.n_local - 1)
             gate.succeed(result)
             yield gate  # consume our own gate pass for deterministic ordering
             return result
         gate = inst.gate
-        prof = self.sim.prof
-        if prof is None:
-            result = yield gate
-        else:
-            from repro.profile.phases import PH_BARRIER, PH_TEAM_WAIT
-
+        if obs is not None:
             # pure barriers (op is None) are barrier waits; reductions and
             # other combining encounters are team (gather) waits
-            prof.push(PH_BARRIER if op is None else PH_TEAM_WAIT)
-            try:
-                result = yield gate
-            finally:
-                prof.pop()
-        if san is not None:
-            san.on_gate_wait(id(gate))
+            obs.on_enter(PH_BARRIER if op is None else PH_TEAM_WAIT)
+        result = yield gate
+        if obs is not None:
+            obs.pop()
+            obs.on_gate_wait(id(gate))
         self._retire(key, inst)
         return result
 
@@ -136,26 +130,19 @@ class NodeTeam:
         return False, inst
 
     def wait_gate(self, inst: _Instance, key):
-        prof = self.sim.prof
-        if prof is None:
-            value = yield inst.gate
-        else:
-            from repro.profile.phases import PH_TEAM_WAIT
-
-            prof.push(PH_TEAM_WAIT)
-            try:
-                value = yield inst.gate
-            finally:
-                prof.pop()
-        san = self.sim.san
-        if san is not None:
-            san.on_gate_wait(id(inst.gate))
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_enter(PH_TEAM_WAIT)
+        value = yield inst.gate
+        if obs is not None:
+            obs.pop()
+            obs.on_gate_wait(id(inst.gate))
         self._retire(key, inst)
         return value
 
     def open_gate(self, inst: _Instance, key, value=None) -> None:
-        san = self.sim.san
-        if san is not None:
-            san.on_gate_open(id(inst.gate), self.n_local - 1)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_gate_open(id(inst.gate), self.n_local - 1)
         inst.gate.succeed(value)
         self._retire(key, inst)

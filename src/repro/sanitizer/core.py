@@ -1,8 +1,9 @@
 """Happens-before sanitizer: data-race detector + live protocol checks.
 
-The :class:`Sanitizer` attaches to a :class:`~repro.sim.Simulator` the same
-way :class:`~repro.trace.TraceRecorder` does — instrumentation throughout
-the stack guards on ``sim.san is None``, so a detached sanitizer costs one
+The :class:`Sanitizer` is one of the observers on the simulator's single
+hook path (:mod:`repro.sim.observers`), like
+:class:`~repro.trace.TraceRecorder` — instrumentation throughout the
+stack guards on ``sim.obs is None``, so a detached sanitizer costs one
 attribute load per hook site and an attached one observes every DSM access
 and synchronisation operation of the run.
 
@@ -49,10 +50,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.dsm.states import is_valid_transition
 from repro.sanitizer.clocks import VectorClock, ordered_before, vc_copy, vc_join
+from repro.sim.observers import Observer
 
 #: shadow record list indices (records are mutable for range merging)
 _LO, _HI, _TID, _EPOCH, _WRITE, _WHAT, _TIME, _NODE = range(8)
@@ -89,12 +91,12 @@ class AccessSite:
         return f"{mode} of {target} by {self.tid} (node {self.node}, t={self.time:.6g})"
 
 
-class Sanitizer:
+class Sanitizer(Observer):
     """Vector-clock happens-before checker over a running simulation.
 
     Parameters
     ----------
-    sim : the simulator to attach to (``sim.san`` is set immediately)
+    sim : the simulator whose hook path it joins (immediately)
     n_nodes : cluster size — needed to tell when a barrier epoch is
         complete (shadow memory resets there)
     page_size : shadow-memory bucket granularity (the DSM page size)
@@ -103,7 +105,7 @@ class Sanitizer:
     """
 
     def __init__(self, sim, n_nodes: int, page_size: int, max_records_per_page: int = 512):
-        self._sim = sim
+        self.sim = sim
         self.n_nodes = n_nodes
         self.page_size = page_size
         self.max_records_per_page = max_records_per_page
@@ -139,14 +141,6 @@ class Sanitizer:
 
         self.attach()
 
-    # -- lifecycle ------------------------------------------------------
-    def attach(self) -> None:
-        self._sim.san = self
-
-    def detach(self) -> None:
-        if self._sim.san is self:
-            self._sim.san = None
-
     # -- report ---------------------------------------------------------
     @property
     def races(self) -> List[Finding]:
@@ -179,7 +173,7 @@ class Sanitizer:
 
     # -- internals ------------------------------------------------------
     def _tid(self) -> str:
-        proc = self._sim.active_process
+        proc = self.sim.active_process
         if proc is not None and proc.label:
             return proc.label
         return "main"
@@ -196,21 +190,25 @@ class Sanitizer:
             if key in self._seen:
                 return
             self._seen.add(key)
-        self.findings.append(Finding(kind, message, self._sim.now, details))
+        self.findings.append(Finding(kind, message, self.sim.now, details))
 
     # ------------------------------------------------------------------
     # shadow memory: the race detector proper
     # ------------------------------------------------------------------
-    def on_access(self, node: int, addr: int, nbytes: int, write: bool, what: str = "") -> None:
+    def on_access(self, node: int, addr: int, nbytes: int, write: bool,
+                  what: Optional[str] = "") -> None:
         """Record one DSM access (fast path or fault path) and check it
-        against every unordered overlapping record of the touched pages."""
+        against every unordered overlapping record of the touched pages.
+        ``what=None`` names the access by its byte range."""
         if nbytes <= 0:
             return
+        if what is None:
+            what = f"[{addr:#x}+{nbytes}]"
         self.accesses_checked += 1
         tid = self._tid()
         vc = self._vc_of(tid)
         epoch = vc[tid]
-        now = self._sim.now
+        now = self.sim.now
         ps = self.page_size
         end = addr + nbytes
         for page in range(addr // ps, (end - 1) // ps + 1):

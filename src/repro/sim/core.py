@@ -14,6 +14,11 @@ the deque fronts, so the processed order is exactly the
 (time, priority, sequence) total order of a pure-heap schedule — O(1)
 instead of O(log n) for the common case, same interleaving.  The heap is
 left holding only true timeouts, which also makes its operations cheaper.
+
+Observers (trace recorder, profiler, sanitizer, metrics) share one slot,
+:attr:`Simulator.obs`: ``None`` when detached, else the hook fan-out of
+:mod:`repro.sim.observers`.  :meth:`Simulator.step` calls its ``on_step``
+(when subscribed) once per processed event.
 """
 
 from __future__ import annotations
@@ -54,26 +59,10 @@ class Simulator:
         self._urgent: deque = deque()
         self._seq = itertools.count()
         self._n_processed = 0
-        #: attached :class:`repro.trace.TraceRecorder`, or None (untraced).
-        #: Instrumentation throughout the stack guards on this being None,
-        #: which is the entire cost of tracing when it is off.
-        self.trace = None
-        #: attached :class:`repro.sanitizer.Sanitizer`, or None.  Same
-        #: zero-cost-when-detached contract as :attr:`trace`: hooks guard
-        #: on this being None.
-        self.san = None
-        #: attached :class:`repro.profile.Profiler`, or None.  Same
-        #: zero-cost-when-detached contract as :attr:`trace`.
-        self.prof = None
-        #: attached :class:`repro.chaos.ChaosEngine`, or None.  Same
-        #: zero-cost-when-detached contract as :attr:`trace`: the network
-        #: and comm threads guard on this being None, so a chaos-free run
-        #: pays one load and one compare per message.
-        self.chaos = None
-        #: attached :class:`repro.metrics.Metrics`, or None.  Same
-        #: zero-cost-when-detached contract as :attr:`trace`; the step
-        #: loop below and hook sites across the stack guard on it.
-        self.metrics = None
+        #: the attached observers (:class:`repro.sim.observers.Observers`),
+        #: or None.  Every instrumentation site guards on this being None,
+        #: which is the entire cost of observation when nothing is attached.
+        self.obs = None
         #: the :class:`Process` currently advancing its generator; tracing
         #: uses its label as the emitting track ("thread") name.
         self.active_process = None
@@ -154,12 +143,9 @@ class Simulator:
         callbacks, event.callbacks = event.callbacks, None
         self._callbacks = callbacks
         self._n_processed += 1
-        tr = self.trace
-        if tr is not None:
-            tr.on_step(len(heap) + len(urg) + len(imm))
-        mx = self.metrics
-        if mx is not None:
-            mx.on_step(t, len(heap) + len(urg) + len(imm))
+        obs = self.obs
+        if obs is not None and obs.on_step is not None:
+            obs.on_step(t, len(heap) + len(urg) + len(imm))
         for cb in callbacks:
             cb(event)
         if not event._ok and not event._defused:

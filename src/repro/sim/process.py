@@ -72,14 +72,11 @@ class Process(Event):
         self._target = None
 
         sim = self.sim
-        tr = sim.trace
-        pr = sim.prof
+        obs = sim.obs
         prev_active = sim.active_process
         sim.active_process = self
-        if tr is not None:
-            tr.instant("sim", "resume", tid=self.label)
-        if pr is not None:
-            pr.on_resume(self.label)
+        if obs is not None and obs.on_resume is not None:
+            obs.on_resume(self.label)
         gen = self._gen
         try:
             while True:
@@ -90,20 +87,16 @@ class Process(Event):
                         event._defused = True
                         next_ev = gen.throw(event._value)
                 except StopIteration as stop:
-                    if tr is not None:
-                        tr.instant("sim", "end", tid=self.label, ok=True)
-                    if pr is not None:
-                        pr.on_thread_end(self.label)
+                    if obs is not None:
+                        obs.on_end(self.label, True)
                     self.succeed(stop.value, priority=URGENT)
                     return
                 except BaseException as exc:
                     # Unhandled failure inside the process: fail the process
                     # event.  If nobody waits on it the simulator will crash
                     # loudly when it processes the failure.
-                    if tr is not None:
-                        tr.instant("sim", "end", tid=self.label, ok=False)
-                    if pr is not None:
-                        pr.on_thread_end(self.label)
+                    if obs is not None:
+                        obs.on_end(self.label, False)
                     self.fail(exc, priority=URGENT)
                     return
 
@@ -126,15 +119,8 @@ class Process(Event):
 
                 cbs.append(self._resume)
                 self._target = next_ev
-                if tr is not None:
-                    tr.instant(
-                        "sim",
-                        "block",
-                        tid=self.label,
-                        target=next_ev.name
-                        or getattr(next_ev, "label", "")
-                        or next_ev.__class__.__name__,
-                    )
+                if obs is not None and obs.on_block is not None:
+                    obs.on_block(self.label, next_ev)
                 return
         finally:
             sim.active_process = prev_active

@@ -37,29 +37,24 @@ class Mutex:
         if self.locked:
             self.n_contended += 1
         req = self._res.request()
-        prof = self.sim.prof
-        if prof is not None:
+        obs = self.sim.obs
+        if obs is not None:
             from repro.profile.phases import PH_MUTEX_WAIT
 
-            prof.push(PH_MUTEX_WAIT)
-            try:
-                yield req
-            finally:
-                prof.pop()
-        else:
-            yield req
+            obs.on_enter(PH_MUTEX_WAIT)
+        yield req
         self._holder = req
         self.n_acquisitions += 1
-        san = self.sim.san
-        if san is not None:
-            san.on_lock_acquire(("mutex", self.name))
+        if obs is not None:
+            obs.pop()
+            obs.on_lock_acquire(("mutex", self.name))
 
     def release(self) -> None:
         if self._holder is None:
             raise SimulationError(f"release of unheld mutex {self.name}")
-        san = self.sim.san
-        if san is not None:
-            san.on_lock_release(("mutex", self.name))
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_lock_release(("mutex", self.name))
         holder, self._holder = self._holder, None
         self._res.release(holder)
         # The next queued request (if any) was granted synchronously; record

@@ -2,25 +2,35 @@
 
 Lifecycle::
 
-    rec = TraceRecorder(sim, capacity=1 << 16)   # attaches to sim.trace
+    rec = TraceRecorder(sim, capacity=1 << 16)   # joins sim.obs
     ... run the program ...
     events = rec.drain()                          # or iterate rec.events
 
-Instrumentation sites follow one pattern and are zero-cost when no
-recorder is attached (``sim.trace is None`` — one load and one compare,
-no allocation)::
+The recorder is one of the observers on the simulator's single hook path
+(:mod:`repro.sim.observers`).  Instrumentation sites are zero-cost when
+nothing is attached (``sim.obs is None`` — one load and one compare, no
+allocation)::
 
-    tr = self.sim.trace
-    if tr is not None:
-        tr.instant(CAT_PAGE, "twin", node=self.id, page=page)
+    obs = self.sim.obs
+    if obs is not None:
+        obs.instant(CAT_PAGE, "twin", node=self.id, page=page)
 
-Spans capture their own start time so the site needs no recorder state::
+Spans capture their own start time so the site needs no recorder state.
+A region the profiler phases too opens with ``on_enter(phase)`` and
+closes with ``on_leave``, which is the profiler's pop and this
+recorder's :meth:`span` in one call::
 
-    tr = self.sim.trace
+    obs = self.sim.obs
     t0 = self.sim.now
+    if obs is not None:
+        obs.on_enter(PH_FAULT_FETCH)
     ...  # yield from the work being measured
-    if tr is not None:
-        tr.span(CAT_PAGE, "fetch", t0, node=self.id, page=page)
+    if obs is not None:
+        obs.on_leave(CAT_PAGE, "fetch", t0, node=self.id, page=page)
+
+The named ``on_*`` hooks (process resume/block/end, message send and
+delivery, page-state transitions) build their events here, so a site
+pays for argument formatting only when a recorder is attached.
 
 The ring is a ``deque(maxlen=capacity)``: when full, the *oldest* events
 are evicted (``n_dropped`` counts them), so memory is bounded by the
@@ -33,21 +43,34 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
-from repro.trace.events import TraceEvent, DEFAULT_CATEGORIES, CAT_COUNTER
+from repro.dsm.states import PageState
+from repro.sim.observers import Observer
+from repro.trace.events import (
+    CAT_COUNTER,
+    CAT_NET,
+    CAT_PAGE,
+    CAT_SIM,
+    DEFAULT_CATEGORIES,
+    TraceEvent,
+)
+
+#: hooks that emit ``sim``-category (kernel scheduling) events
+_SIM_HOOKS = frozenset({"on_resume", "on_block", "on_end"})
 
 
-class TraceRecorder:
+class TraceRecorder(Observer):
     """Bounded ring buffer of :class:`TraceEvent`, bound to one simulator.
 
     Parameters
     ----------
     sim : the :class:`~repro.sim.Simulator` whose clock stamps events;
-        the recorder installs itself as ``sim.trace`` unless
-        ``attach=False``.
+        the recorder joins ``sim.obs`` unless ``attach=False``.
     capacity : ring size in events; oldest events are evicted when full.
     categories : set of category constants to record;
         ``None`` means :data:`~repro.trace.events.DEFAULT_CATEGORIES`
-        (everything except the noisy kernel-scheduler category).
+        (everything except the noisy kernel-scheduler category, whose
+        hooks the recorder subscribes to only when it is in the set at
+        attach time).
     queue_stride : sample the simulator event-queue depth as a counter
         series every this-many processed events (0 disables sampling).
         The simulator calls :meth:`on_step` once per processed event when
@@ -85,18 +108,6 @@ class TraceRecorder:
         self._step_count = 0
         if attach:
             self.attach()
-
-    # -- lifecycle ------------------------------------------------------
-    def attach(self) -> "TraceRecorder":
-        """Install as ``sim.trace`` so instrumentation sites find us."""
-        self.sim.trace = self
-        return self
-
-    def detach(self) -> "TraceRecorder":
-        """Stop recording by unhooking from the simulator."""
-        if getattr(self.sim, "trace", None) is self:
-            self.sim.trace = None
-        return self
 
     # -- emission -------------------------------------------------------
     def _tid(self) -> str:
@@ -156,7 +167,11 @@ class TraceRecorder:
             TraceEvent(self.sim.now, cat, name, node=node, tid=tid, args=values, ph="C")
         )
 
-    def on_step(self, queue_depth: int) -> None:
+    #: a region's close is a span (the profiler pops on the same hook)
+    on_leave = span
+
+    # -- hooks ------------------------------------------------------------
+    def on_step(self, now: float, queue_depth: int) -> None:
         """Called by the simulator once per processed event; samples the
         pending-event count every :attr:`queue_stride` events."""
         stride = self.queue_stride
@@ -165,6 +180,54 @@ class TraceRecorder:
         self._step_count += 1
         if self._step_count % stride == 0:
             self.counter(CAT_COUNTER, "queue-depth", depth=queue_depth)
+
+    def wants(self, hook: str) -> bool:
+        """The kernel-scheduler hooks (one call per resume, block or end)
+        are subscribed only when their category is recorded; the category
+        set is read when the recorder attaches."""
+        return hook not in _SIM_HOOKS or CAT_SIM in self.categories
+
+    def on_resume(self, label: str) -> None:
+        self.instant(CAT_SIM, "resume", tid=label)
+
+    def on_block(self, label: str, target) -> None:
+        self.instant(
+            CAT_SIM, "block", tid=label,
+            target=target.name or getattr(target, "label", "")
+            or target.__class__.__name__,
+        )
+
+    def on_end(self, label: str, ok: bool) -> None:
+        self.instant(CAT_SIM, "end", tid=label, ok=ok)
+
+    def on_send(self, msg) -> None:
+        self.instant(
+            CAT_NET, "msg-send", node=msg.src, dst=msg.dst, nbytes=msg.nbytes,
+            tag=str(msg.tag), seq=msg.seq,
+        )
+
+    def on_deliver(self, msg, flight_t0) -> None:
+        self.instant(
+            CAT_NET, "msg-deliver", node=msg.dst, tid="wire",
+            src=msg.src, nbytes=msg.nbytes, tag=str(msg.tag), seq=msg.seq,
+        )
+
+    def on_page_state(self, node: int, page: int, src, dst, reason: str) -> None:
+        self.instant(
+            CAT_PAGE, "page-state", node=node,
+            page=page, src=src.name, dst=dst.name, reason=reason,
+        )
+
+    def on_page_census(self, node: int, states) -> None:
+        """Counter sample of one node's page-state census (post-barrier).
+
+        All counter args must stay numeric series values: Chrome stacks
+        every ``args`` key as one band of the counter track.
+        """
+        counts = {st.name: 0 for st in PageState}
+        for st in states:
+            counts[st.name] += 1
+        self.counter("counter", "page-census", node=node, **counts)
 
     # -- inspection -----------------------------------------------------
     @property

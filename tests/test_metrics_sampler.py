@@ -21,6 +21,7 @@ from repro.metrics import (
 )
 from repro.metrics.sampler import Metrics as SamplerMetrics
 from repro.runtime import ParadeRuntime
+from repro.sim.observers import attached
 
 
 def _factory():
@@ -54,9 +55,12 @@ def test_metered_runs_are_deterministic_across_repeats():
 
 
 def test_runtime_wiring_and_finalize():
-    rt, res = _run(metrics=True)
+    rt = ParadeRuntime(n_nodes=2, pool_bytes=1 << 20, metrics=True)
     mx = rt.metrics
-    assert mx is rt.sim.metrics
+    assert attached(rt.sim) == (mx,)
+    res = rt.run(_factory())
+    # closed at the run's end, then detached
+    assert rt.sim.obs is None
     assert mx.finalized_at == res.elapsed
     assert mx.n_samples > 0
     # stock sources produced their series
@@ -123,23 +127,10 @@ def test_lock_hooks_record_wait_and_hold():
         assert h.min >= 0.0
 
 
-def test_env_var_attaches_metrics(monkeypatch):
-    monkeypatch.setenv("PARADE_METRICS", "1")
-    rt = ParadeRuntime(n_nodes=1, pool_bytes=1 << 20)
-    assert rt.metrics is not None and rt.sim.metrics is rt.metrics
-    monkeypatch.setenv("PARADE_METRICS", "0")
-    rt = ParadeRuntime(n_nodes=1, pool_bytes=1 << 20)
-    assert rt.metrics is None
-    # explicit argument beats the environment
-    monkeypatch.setenv("PARADE_METRICS", "1")
-    rt = ParadeRuntime(n_nodes=1, pool_bytes=1 << 20, metrics=False)
-    assert rt.metrics is None
-
-
 def test_sampling_grid_and_max_samples():
     class FakeSim:
         now = 0.0
-        metrics = None
+        obs = None
 
     mx = Metrics(FakeSim(), period=1.0, max_samples=3)
     for t in (0.25, 0.5):  # below the first grid point: no samples
@@ -161,7 +152,7 @@ def test_sampling_grid_and_max_samples():
 def test_constructor_validation_and_detach():
     class FakeSim:
         now = 0.0
-        metrics = None
+        obs = None
 
     with pytest.raises(ValueError):
         Metrics(FakeSim(), period=0.0)
@@ -169,14 +160,14 @@ def test_constructor_validation_and_detach():
         Metrics(FakeSim(), max_samples=0)
     sim = FakeSim()
     mx = Metrics(sim)
-    assert sim.metrics is mx
+    assert attached(sim) == (mx,)
     mx.detach()
-    assert sim.metrics is None
+    assert sim.obs is None
 
 
 def test_unmetered_run_pays_no_metrics_overhead():
     """Mirror of the profiler's zero-overhead assertion: all metrics
-    hooks are guarded by ``sim.metrics is None`` checks, so a detached
+    hooks are guarded by ``sim.obs is None`` checks, so a detached
     run must not be slower than a metered one (best-of-3, generous
     noise margin)."""
     import time
@@ -188,7 +179,7 @@ def test_unmetered_run_pays_no_metrics_overhead():
         for _ in range(n):
             rt = ParadeRuntime(n_nodes=2, pool_bytes=1 << 21, metrics=metered)
             if not metered:
-                assert rt.sim.metrics is None
+                assert rt.sim.obs is None
             t0 = time.perf_counter()
             rt.run(cg.make_program("T", niter=1))
             best = min(best, time.perf_counter() - t0)

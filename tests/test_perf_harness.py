@@ -47,7 +47,7 @@ def test_measure_workload_is_deterministic_across_repeats():
 
 
 def test_unprofiled_run_pays_no_profiler_overhead():
-    """The profiler hooks are all guarded by ``sim.prof is None`` checks,
+    """The profiler hooks are all guarded by ``sim.obs is None`` checks,
     so a run without a profiler attached must not be slower than a
     profiled one (best-of-3 each; generous margin for host noise).  This
     is the wall-clock face of the zero-cost-when-detached contract the
@@ -65,7 +65,7 @@ def test_unprofiled_run_pays_no_profiler_overhead():
             if profiled:
                 Profiler(rt.sim, record_intervals=False)
             else:
-                assert rt.sim.prof is None
+                assert rt.sim.obs is None
             t0 = time.perf_counter()
             rt.run(cg.make_program("T", niter=1))
             best = min(best, time.perf_counter() - t0)

@@ -10,6 +10,7 @@ from repro.dsm.states import PageState
 from repro.runtime import ALL_EXEC_CONFIGS, ParadeRuntime
 from repro.sanitizer import Sanitizer, ordered_before, vc_copy, vc_join
 from repro.sim import Simulator
+from repro.sim.observers import attached
 
 
 def _exec(name):
@@ -42,11 +43,11 @@ def test_vector_clock_helpers():
 # ------------------------------------------------------------ attach
 def test_attach_detach_contract():
     sim = Simulator()
-    assert sim.san is None
+    assert sim.obs is None
     san = Sanitizer(sim, n_nodes=2, page_size=4096)
-    assert sim.san is san
+    assert attached(sim) == (san,)
     san.detach()
-    assert sim.san is None
+    assert sim.obs is None
     # detaching twice (or after replacement) is harmless
     san.detach()
 
@@ -296,4 +297,4 @@ def test_helmholtz_clean_under_sanitizer():
 def test_sanitizer_disabled_by_default():
     rt = ParadeRuntime(n_nodes=2, pool_bytes=1 << 20)
     assert rt.sanitizer is None
-    assert rt.sim.san is None
+    assert rt.sim.obs is None
